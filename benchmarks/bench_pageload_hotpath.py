@@ -362,8 +362,8 @@ def bench_report_path(tmp_dir: Path) -> dict:
 
     Both variants pivot the same synthetic 1k-condition campaign into
     (network x stack) mean-CI cells; the batch variant materialises
-    every summary first (the pre-streaming ``Campaign.summaries()``
-    results path), the streaming variant drains the ``SummaryStore``
+    every summary into one list first (the pre-streaming results
+    path, since removed from ``Campaign``), the streaming variant drains the ``SummaryStore``
     into a ``GridReport`` one summary at a time.
     """
     from repro.analysis.stats import mean_confidence_interval

@@ -79,8 +79,7 @@ def main() -> None:
     print(render_grid(by_site))
 
     # Need the raw summaries rather than an aggregate? Iterate them
-    # lazily in sweep order (the streaming replacement for the
-    # deprecated whole-grid Campaign.summaries()).
+    # lazily in sweep order, one summary in memory at a time.
     slowest = max(campaign.iter_summaries(),
                   key=lambda pair: pair[1].si)
     print(f"\nslowest condition by SI: {slowest[0].label} "

@@ -40,12 +40,7 @@ from repro.analysis.stats import (
     mean_ci_from_stats,
     welch_ttest_p_from_stats,
 )
-
-#: Pivotable condition axes (mirrors ``repro.testbed.store.CONDITION_AXES``;
-#: listed here so the analysis layer stays import-independent of the
-#: testbed — report keys are duck-typed on these attribute names).
-GRID_AXES = ("website", "network", "stack", "seed", "path",
-             "middleboxes")
+from repro.axes import AXIS_NAMES
 
 
 class StreamingMoments:
@@ -327,10 +322,10 @@ def anova_from_moments(
 
 def _check_axes(names: Sequence[str]) -> Tuple[str, ...]:
     for name in names:
-        if name not in GRID_AXES:
+        if name not in AXIS_NAMES:
             raise ValueError(
                 f"unknown condition axis {name!r}; "
-                f"expected one of {GRID_AXES}")
+                f"expected one of {AXIS_NAMES}")
     return tuple(names)
 
 

@@ -49,12 +49,12 @@ from pathlib import Path
 from statistics import fmean
 from typing import List, Optional, Tuple
 
-from repro.analysis.streaming import GRID_AXES, GridReport
+from repro import axes
+from repro.analysis.streaming import GridReport
 from repro.lint.cli import add_lint_arguments
 from repro.lint.cli import run as run_lint_cli
 from repro.browser.engine import load_page
 from repro.browser.metrics import VisualMetrics
-from repro.netem.middlebox import MIDDLEBOX_PRESETS
 from repro.netem.profiles import NETWORKS, network_by_name, with_loss
 from repro.report import (
     md_grid,
@@ -100,8 +100,7 @@ DEFAULT_SITES = [
 #: default is treated as "not explicitly requested").
 CAMPAIGN_GRID_DEFAULTS = {
     "seeds": [0],
-    "paths": ["direct"],
-    "middleboxes": ["none"],
+    **{axis.plural: [axis.default_token] for axis in axes.OPTIONAL_AXES},
     "runs": 5,
     "timeout": 180.0,
     "metric": "PLT",
@@ -177,21 +176,21 @@ def _parse_loss_sweep(entries: List[str]) -> List[object]:
 
 def _parse_pivot(pivot: str) -> Tuple[Tuple[str, ...], str]:
     """``axis,...,axis`` → (row axes, column axis); last axis = columns."""
-    axes = [axis.strip() for axis in pivot.split(",") if axis.strip()]
-    if len(axes) < 2:
+    names = [axis.strip() for axis in pivot.split(",") if axis.strip()]
+    if len(names) < 2:
         raise SystemExit(
             f"repro campaign: error: --pivot needs at least two axes "
             f"(rows...,columns), got {pivot!r}")
-    for axis in axes:
-        if axis not in GRID_AXES:
+    for axis in names:
+        if axis not in axes.AXIS_NAMES:
             raise SystemExit(
                 f"repro campaign: error: unknown pivot axis {axis!r}; "
-                f"expected one of {', '.join(GRID_AXES)}")
-    if len(set(axes)) != len(axes):
+                f"expected one of {', '.join(axes.AXIS_NAMES)}")
+    if len(set(names)) != len(names):
         raise SystemExit(
             f"repro campaign: error: --pivot axes must be distinct, "
             f"got {pivot!r}")
-    return tuple(axes[:-1]), axes[-1]
+    return tuple(names[:-1]), names[-1]
 
 
 def _make_report(args: argparse.Namespace) -> GridReport:
@@ -449,9 +448,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             raise SystemExit(
                 f"repro campaign: error: {error} (from the CLI: "
                 f"--allow-stale)")
-        # recorded_count() is the manifest's claim (no summary loads,
-        # legacy-manifest-proof); comparing it against what iteration
-        # yields detects a wrong/pruned cache directory.
+        # recorded_count() is the manifest's claim; comparing it against
+        # what iteration yields detects a wrong/pruned cache directory.
         listed = store.recorded_count()
         fed = 0
         for key, summary in store:
@@ -487,9 +485,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 ("--stacks", bool(args.stacks)),
                 ("--loss-sweep", bool(args.loss_sweep)),
                 ("--seeds", args.seeds != defaults["seeds"]),
-                ("--paths", args.paths != defaults["paths"]),
-                ("--middleboxes",
-                 args.middleboxes != defaults["middleboxes"]),
+                *((f"--{axis.plural}",
+                   getattr(args, axis.plural) != defaults[axis.plural])
+                  for axis in axes.OPTIONAL_AXES),
                 ("--runs", args.runs != defaults["runs"]),
                 ("--timeout", args.timeout != defaults["timeout"]),
                 ("--metric", args.metric != defaults["metric"]),
@@ -521,8 +519,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         networks=networks,
         stacks=args.stacks,
         seeds=args.seeds,
-        paths=args.paths,
-        middleboxes=args.middleboxes,
+        **{axis.plural: getattr(args, axis.plural)
+           for axis in axes.OPTIONAL_AXES},
         runs=args.runs,
         timeout=args.timeout,
         selection_metric=args.metric,
@@ -530,14 +528,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     )
     campaign = Campaign(spec, cache_dir=args.cache_dir)
     total = len(spec.conditions())
-    paths_note = f" x {len(spec.paths)} paths" \
-        if len(spec.paths) > 1 else ""
-    if len(spec.middleboxes) > 1:
-        paths_note += f" x {len(spec.middleboxes)} middleboxes"
+    optional_note = "".join(
+        f" x {len(values)} {axis.plural}" for axis in axes.OPTIONAL_AXES
+        if len(values := getattr(spec, axis.plural)) > 1)
     print(f"campaign {spec.name!r}: {total} conditions "
           f"({len(spec.sites)} sites x {len(spec.networks)} networks x "
           f"{len(spec.stacks)} stacks x {len(spec.seeds)} seeds"
-          f"{paths_note}), {args.runs} runs each", file=info)
+          f"{optional_note}), {args.runs} runs each", file=info)
     print(f"manifest: {campaign.manifest_path}", file=info)
     if args.supervise is not None:
         return _cmd_campaign_supervised(args, campaign, info)
@@ -765,23 +762,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_campaign.add_argument("--seeds", nargs="*", type=int,
                             default=CAMPAIGN_GRID_DEFAULTS["seeds"],
                             help="simulation seeds (extra sweep axis)")
-    p_campaign.add_argument("--paths", nargs="*",
-                            choices=["direct", "split"],
-                            default=CAMPAIGN_GRID_DEFAULTS["paths"],
-                            help="path topology modes (extra sweep "
-                                 "axis): direct end-to-end transport "
-                                 "and/or split-connection proxies at "
-                                 "every segment boundary; split needs "
-                                 "multi-segment networks, e.g. "
-                                 "--networks SAT+LAN (default: direct)")
-    p_campaign.add_argument("--middleboxes", nargs="*",
-                            choices=[c.name for c in MIDDLEBOX_PRESETS],
-                            default=CAMPAIGN_GRID_DEFAULTS["middleboxes"],
-                            help="in-path middlebox chain presets "
-                                 "(extra sweep axis): none, policer, "
-                                 "shaper, jitter, reorder, duplicate, "
-                                 "mtu-clamp, ack-decimate, adversarial "
-                                 "(default: none)")
+    for axis in axes.OPTIONAL_AXES:
+        p_campaign.add_argument(f"--{axis.plural}", nargs="*",
+                                choices=list(axis.choices),
+                                default=CAMPAIGN_GRID_DEFAULTS[axis.plural],
+                                help=axis.help)
     p_campaign.add_argument("--loss-sweep", nargs="*", default=None,
                             metavar="NET:P1,P2",
                             help="derived lossy profiles, e.g. DSL:0.01,0.05")
@@ -822,8 +807,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_campaign.add_argument("--pivot", default="network,stack",
                             metavar="AXES",
                             help="pivot axes, rows...,columns (subset "
-                                 "of website,network,stack,seed,path,"
-                                 "middleboxes; default: network,stack)")
+                                 f"of {','.join(axes.AXIS_NAMES)}; "
+                                 "default: network,stack)")
     p_campaign.add_argument("--format", default="text",
                             choices=["text", "md", "json"],
                             help="report output format")

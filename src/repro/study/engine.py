@@ -41,6 +41,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import axes
 from repro.study.design import (
     AB_VIDEO_COUNTS,
     RATING_VIDEO_COUNTS,
@@ -113,17 +114,18 @@ class ConditionStats:
 def condition_stats(summary) -> ConditionStats:
     """Reduce a recording summary to :class:`ConditionStats`.
 
-    A recording made over a non-direct path topology (split-connection
-    proxies — see :mod:`repro.netem.proxy`) is a distinct viewing
-    condition, so its network label is qualified with the path mode
-    (``SAT+LAN@split``); everything downstream treats it as just
-    another network axis value. Direct recordings keep their plain
-    label, so existing campaigns aggregate identically.
+    A recording made off an optional axis's default (split-connection
+    proxies, an in-path middlebox chain — see :mod:`repro.axes`) is a
+    distinct viewing condition, so its network label is qualified with
+    each such axis token in table order (``SAT+LAN@split``,
+    ``SAT+LAN@ack-decimate``, ``SAT+LAN@split@adversarial``);
+    everything downstream treats it as just another network axis value.
+    Default recordings keep their plain label, so existing campaigns
+    aggregate identically.
     """
     metrics = summary.selected_metrics
-    path = getattr(summary, "path", "direct")
-    network = summary.network if path == "direct" \
-        else f"{summary.network}@{path}"
+    network = "@".join([summary.network, *axes.non_default(
+        axes.tokens_of(summary)).values()])
     return ConditionStats(
         website=summary.website,
         network=network,

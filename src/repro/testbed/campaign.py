@@ -36,13 +36,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
 import sys
 import time
 import traceback
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -56,14 +56,12 @@ from typing import (
     Union,
 )
 
+from repro import axes
 from repro.netem.middlebox import (
     NO_MIDDLEBOXES,
     MiddleboxChainSpec,
     MiddleboxesLike,
-    chain_from_json,
-    resolve_middleboxes,
 )
-from repro.netem.path import PATH_MODES
 from repro.netem.profiles import (
     NETWORKS,
     NetworkProfile,
@@ -119,13 +117,14 @@ class Condition:
     path: str = "direct"
     middleboxes: MiddleboxChainSpec = NO_MIDDLEBOXES
 
+    def _optional(self) -> Dict[str, object]:
+        return {axis.name: getattr(self, axis.name)
+                for axis in axes.OPTIONAL_AXES}
+
     @property
     def label(self) -> str:
         """Filesystem-safe human-readable identifier."""
-        return condition_label(self.website, self.profile.name,
-                               self.stack.name, self.seed, path=self.path,
-                               middleboxes=self.middleboxes.name
-                               if self.middleboxes.boxes else "none")
+        return condition_label(**axes.condition_tokens(self))
 
     def fingerprint(self) -> str:
         """Content hash over every output-determining parameter."""
@@ -133,20 +132,14 @@ class Condition:
             self.website, self.profile, self.stack,
             corpus_seed=self.corpus_seed, seed=self.seed, runs=self.runs,
             timeout=self.timeout, selection_metric=self.selection_metric,
-            path=self.path, middleboxes=self.middleboxes,
+            **self._optional(),
         )
 
     @property
     def key(self) -> ConditionKey:
         """Light axis/identity key used by the streaming results path."""
-        return ConditionKey(
-            website=self.website, network=self.profile.name,
-            stack=self.stack.name, seed=self.seed,
-            label=self.label, fingerprint=self.fingerprint(),
-            path=self.path,
-            middleboxes=self.middleboxes.name
-            if self.middleboxes.boxes else "none",
-        )
+        return ConditionKey(label=self.label, fingerprint=self.fingerprint(),
+                            **axes.condition_tokens(self))
 
     def produce(self) -> RecordingSummary:
         """Simulate this condition (no caching)."""
@@ -154,14 +147,8 @@ class Condition:
             self.website, self.profile, self.stack,
             corpus_seed=self.corpus_seed, seed=self.seed, runs=self.runs,
             timeout=self.timeout, selection_metric=self.selection_metric,
-            path=self.path, middleboxes=self.middleboxes,
+            **self._optional(),
         )
-
-
-def _splittable(profile: NetworkProfile) -> bool:
-    """True when ``profile`` can host split-connection proxies."""
-    return isinstance(profile, SegmentedProfile) \
-        and len(profile.segments) >= 2
 
 
 @dataclass
@@ -191,16 +178,12 @@ class CampaignSpec:
             raise ValueError("runs must be at least 1")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if not self.paths:
-            raise ValueError("need at least one path mode")
-        for path in self.paths:
-            if path not in PATH_MODES:
-                raise ValueError(
-                    f"unknown path mode {path!r}; "
-                    f"expected one of {PATH_MODES}")
-        if not self.middleboxes:
-            raise ValueError(
-                "need at least one middlebox chain (use \"none\")")
+        for axis in axes.OPTIONAL_AXES:
+            values = getattr(self, axis.plural)
+            if not values:
+                raise ValueError(f"need at least one {axis.name} value "
+                                 f"(use {axis.default_token!r})")
+            setattr(self, axis.plural, [axis.resolve(v) for v in values])
         self.sites = list(self.sites) if self.sites is not None \
             else list(CORPUS_SITE_NAMES)
         self.networks = [resolve_network(n) for n in self.networks] \
@@ -208,39 +191,37 @@ class CampaignSpec:
         self.stacks = [resolve_stack(s) for s in self.stacks] \
             if self.stacks is not None else list(STACKS)
         self.seeds = list(self.seeds)
-        self.paths = list(self.paths)
-        self.middleboxes = [resolve_middleboxes(m)
-                            for m in self.middleboxes]
-        if "split" in self.paths and \
-                not any(_splittable(p) for p in self.networks):
-            raise ValueError(
-                "path=split needs at least one multi-segment network "
-                "(a SegmentedProfile with >= 2 segments), e.g. SAT+LAN")
+        for axis in axes.OPTIONAL_AXES:
+            for value in getattr(self, axis.plural):
+                if not any(axis.applies(value, p) for p in self.networks):
+                    raise ValueError(f"{axis.name}={axis.token(value)} "
+                                     f"needs {axis.requires}")
 
     def conditions(self) -> List[Condition]:
         """The axis product, in deterministic sweep order.
 
-        ``path=split`` applies only to networks that can host a proxy
-        (multi-segment profiles); single-segment networks in the same
-        grid sweep ``direct`` alone, so e.g. ``networks=[DSL, SAT_LAN],
+        Optional-axis values apply only to the networks that can host
+        them (see :mod:`repro.axes`): ``path=split`` needs a
+        multi-segment profile, so e.g. ``networks=[DSL, SAT_LAN],
         paths=["direct", "split"]`` yields three path/network combos,
         not four.
         """
+        optional = [getattr(self, axis.plural) for axis in axes.OPTIONAL_AXES]
         return [
             Condition(
                 website=site, profile=profile, stack=stack, seed=seed,
                 runs=self.runs, corpus_seed=self.corpus_seed,
                 timeout=self.timeout,
                 selection_metric=self.selection_metric,
-                path=path,
-                middleboxes=chain,
+                **{axis.name: value
+                   for axis, value in zip(axes.OPTIONAL_AXES, combo)},
             )
             for site in self.sites
             for profile in self.networks
             for stack in self.stacks
-            for path in self.paths
-            if path != "split" or _splittable(profile)
-            for chain in self.middleboxes
+            for combo in itertools.product(*optional)
+            if all(axis.applies(value, profile)
+                   for axis, value in zip(axes.OPTIONAL_AXES, combo))
             for seed in self.seeds
         ]
 
@@ -262,12 +243,8 @@ class CampaignSpec:
         """
         return {
             "name": self.name,
-            "sites": list(self.sites),
-            "networks": [p.name for p in self.networks],
-            "stacks": [s.name for s in self.stacks],
-            "seeds": list(self.seeds),
-            "paths": list(self.paths),
-            "middleboxes": [chain.name for chain in self.middleboxes],
+            **{axis.plural: [axis.token(v) for v in getattr(self, axis.plural)]
+               for axis in axes.AXES},
             "runs": self.runs,
             "corpus_seed": self.corpus_seed,
             "timeout": self.timeout,
@@ -285,8 +262,9 @@ class CampaignSpec:
                 ],
                 "stacks": [dataclasses.asdict(stack)
                            for stack in self.stacks],
-                "middleboxes": [chain.describe()
-                                for chain in self.middleboxes],
+                **{axis.plural: [axis.to_json(v)
+                                 for v in getattr(self, axis.plural)]
+                   for axis in axes.OPTIONAL_AXES if axis.to_json},
             },
         }
 
@@ -319,22 +297,25 @@ def spec_from_json(data: Dict[str, object]) -> CampaignSpec:
     loss-sweep and trace-driven profiles); ``spec.json`` files written
     before the payloads existed fall back to resolving the recorded
     Table 1/2 names, and raise if an axis entry was a derived object
-    whose name cannot be resolved.
+    whose name cannot be resolved. Optional axes missing from the file
+    (it predates them) read as their default.
     """
-    middleboxes: List[MiddleboxesLike] = [
-        str(name) for name in data.get("middleboxes", ["none"])]
-    axes = data.get("axes")
-    if axes:
+    optional: Dict[str, List[object]] = {
+        axis.plural: [str(token) for token in
+                      data.get(axis.plural, [axis.default_token])]
+        for axis in axes.OPTIONAL_AXES}
+    payloads = data.get("axes")
+    if payloads:
         networks: List[NetworkLike] = [
-            _profile_from_json(entry) for entry in axes["networks"]]
+            _profile_from_json(entry) for entry in payloads["networks"]]
         stacks: List[StackLike] = [
-            StackConfig(**entry) for entry in axes["stacks"]]
-        if "middleboxes" in axes:
-            # Full chain payloads reconstruct custom (non-preset)
-            # chains exactly; older spec.json files fall back to the
-            # preset names above.
-            middleboxes = [chain_from_json(entry)
-                           for entry in axes["middleboxes"]]
+            StackConfig(**entry) for entry in payloads["stacks"]]
+        for axis in axes.OPTIONAL_AXES:
+            # Full payloads rebuild custom (non-preset) values exactly;
+            # files that predate them fall back to the tokens above.
+            if axis.from_json and axis.plural in payloads:
+                optional[axis.plural] = [axis.from_json(entry)
+                                         for entry in payloads[axis.plural]]
     else:
         try:
             networks = [resolve_network(name)
@@ -350,13 +331,12 @@ def spec_from_json(data: Dict[str, object]) -> CampaignSpec:
         networks=networks,
         stacks=stacks,
         seeds=[int(seed) for seed in data["seeds"]],
-        paths=[str(path) for path in data.get("paths", ["direct"])],
-        middleboxes=middleboxes,
         runs=int(data["runs"]),
         corpus_seed=int(data["corpus_seed"]),
         timeout=float(data["timeout"]),
         selection_metric=str(data["selection_metric"]),
         name=str(data["name"]),
+        **optional,
     )
 
 
@@ -550,13 +530,7 @@ class Campaign:
             "label": condition.label,
             # Axis fields let SummaryStore.open() list a finished
             # campaign's keys without loading any summary.
-            "website": condition.website,
-            "network": condition.profile.name,
-            "stack": condition.stack.name,
-            "seed": condition.seed,
-            "path": condition.path,
-            "middleboxes": condition.middleboxes.name
-            if condition.middleboxes.boxes else "none",
+            **axes.condition_tokens(condition),
             # The behaviour version the recording was simulated under;
             # SummaryStore.open checks it against the current simulator.
             "sim_behaviour": harness.SIM_BEHAVIOUR_VERSION,
@@ -968,9 +942,7 @@ class Campaign:
     ) -> Iterator[Tuple[Condition, RecordingSummary]]:
         """Yield ``(condition, summary)`` lazily, in sweep order.
 
-        One summary is in memory at a time — this is the streaming
-        replacement for the deprecated whole-grid :meth:`summaries`.
-        Raises :class:`KeyError` for a condition that has not been
+        One summary is in memory at a time. Raises :class:`KeyError` for a condition that has not been
         recorded yet — run the campaign first.
         """
         for condition in self.spec.conditions():
@@ -996,19 +968,6 @@ class Campaign:
                 keys.append(key)
         return SummaryStore(self.cache, keys=keys,
                             campaign_dir=self.campaign_dir)
-
-    def summaries(self) -> List[RecordingSummary]:
-        """Deprecated: load every condition's summary into one list.
-
-        Materialises the whole grid in memory; use
-        :meth:`iter_summaries` (lazy pairs) or :meth:`summary_store`
-        (streaming, post-hoc capable) instead.
-        """
-        warnings.warn(
-            "Campaign.summaries() loads the whole grid into memory; "
-            "use Campaign.iter_summaries() or Campaign.summary_store()",
-            DeprecationWarning, stacklevel=2)
-        return [summary for _, summary in self.iter_summaries()]
 
 
 def run_campaign_spec(

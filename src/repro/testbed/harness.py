@@ -33,13 +33,9 @@ from pathlib import Path
 from statistics import fmean
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro import axes
 from repro.browser.metrics import VisualCurve
 from repro.browser.recorder import record_website
-from repro.netem.middlebox import (
-    MiddleboxChainSpec,
-    MiddleboxesLike,
-    resolve_middleboxes,
-)
 from repro.netem.profiles import NETWORKS, NetworkProfile, network_by_name
 from repro.transport.config import STACKS, StackConfig, stack_by_name
 from repro.web.corpus import CORPUS_SITE_NAMES, build_site
@@ -83,18 +79,17 @@ def condition_fingerprint(
     runs: int,
     timeout: float,
     selection_metric: str,
-    path: str = "direct",
-    middleboxes: Optional[MiddleboxChainSpec] = None,
+    **optional: object,
 ) -> str:
     """Content hash identifying one condition's simulation output.
 
     Hashes a canonical JSON encoding of every parameter the output
     depends on, including all profile fields (segments of a
     :class:`~repro.netem.profiles.SegmentedProfile` recurse) and all
-    stack fields. The ``path`` axis only joins the hash for non-direct
-    modes, and a middlebox chain only when it has boxes, so every
-    pre-existing fingerprint — and with it every cache entry and
-    fixture — is untouched.
+    stack fields. ``optional`` takes the optional axes by name
+    (``path=``, ``middleboxes=``; see :mod:`repro.axes`); each joins the
+    hash only off its default, so every pre-existing fingerprint — and
+    with it every cache entry and fixture — is untouched.
     """
     params = {
         "sim_behaviour": SIM_BEHAVIOUR_VERSION,
@@ -108,24 +103,19 @@ def condition_fingerprint(
         "timeout": timeout,
         "selection_metric": selection_metric,
     }
-    if path != "direct":
-        params["path"] = path
-    if middleboxes is not None and middleboxes.boxes:
-        params["middleboxes"] = middleboxes.describe()
+    params.update(axes.hash_params(optional))
     blob = json.dumps(params, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20]
 
 
 def condition_label(website: str, network: str, stack: str,
-                    seed: Optional[int] = None,
-                    path: str = "direct",
-                    middleboxes: str = "none") -> str:
-    """Human-readable, filesystem-safe prefix for cache/manifest entries."""
-    parts = [website, network, stack]
-    if path != "direct":
-        parts.append(path)
-    if middleboxes != "none":
-        parts.append(middleboxes)
+                    seed: Optional[int] = None, **optional: str) -> str:
+    """Human-readable, filesystem-safe prefix for cache/manifest entries.
+
+    ``optional`` takes optional-axis tokens by name (``path="split"``);
+    only tokens off their default appear.
+    """
+    parts = [website, network, stack, *axes.non_default(optional).values()]
     if seed is not None:
         parts.append(f"s{seed}")
     raw = "_".join(parts)
@@ -160,9 +150,9 @@ class RecordingSummary:
     mean_retransmissions: float
     mean_segments_sent: float
     completed_fraction: float
+    #: Optional-axis tokens (see :mod:`repro.axes`); summaries recorded
+    #: before an axis existed read back as its default.
     path: str = "direct"
-    #: Name of the in-path middlebox chain ("none" when clean — every
-    #: summary recorded before the axis existed reads back as "none").
     middleboxes: str = "none"
 
     @property
@@ -207,14 +197,9 @@ class RecordingSummary:
             "mean_segments_sent": self.mean_segments_sent,
             "completed_fraction": self.completed_fraction,
         }
-        # Serialized only for non-direct paths: direct summaries stay
-        # byte-identical to every pre-path-axis cache file and fixture.
-        if self.path != "direct":
-            payload["path"] = self.path
-        # Same rule for the middlebox chain: clean summaries stay
-        # byte-identical to every pre-middlebox cache file and fixture.
-        if self.middleboxes != "none":
-            payload["middleboxes"] = self.middleboxes
+        # Optional axes serialize only off their default, so default
+        # summaries stay byte-identical to every pre-axis cache file.
+        payload.update(axes.non_default(axes.tokens_of(self)))
         return payload
 
     @classmethod
@@ -234,8 +219,7 @@ class RecordingSummary:
             mean_retransmissions=float(data["mean_retransmissions"]),
             mean_segments_sent=float(data["mean_segments_sent"]),
             completed_fraction=float(data["completed_fraction"]),
-            path=str(data.get("path", "direct")),
-            middleboxes=str(data.get("middleboxes", "none")),
+            **{axis.name: axis.read(data) for axis in axes.OPTIONAL_AXES},
         )
 
 
@@ -299,8 +283,7 @@ def produce_summary(
     runs: int,
     timeout: float,
     selection_metric: str,
-    path: str = "direct",
-    middleboxes: Optional[MiddleboxesLike] = None,
+    **optional: object,
 ) -> RecordingSummary:
     """Simulate one condition and summarise it (no caching).
 
@@ -315,10 +298,13 @@ def produce_summary(
     breaking the determinism contract.  The env flag propagates to
     campaign worker processes, so every entry point doubles as a
     sanitizer smoke test.
+
+    ``optional`` takes the optional axes by name, as
+    :func:`condition_fingerprint` does.
     """
     from repro.lint.sanitizer import maybe_sanitized
 
-    chain = resolve_middleboxes(middleboxes)
+    values = axes.resolve_values(optional)
     with maybe_sanitized():
         site = build_site(website, seed=corpus_seed)
         recording = record_website(
@@ -326,8 +312,8 @@ def produce_summary(
             runs=runs, seed=seed,
             selection_metric=selection_metric,
             timeout=timeout,
-            path_mode=path,
-            middleboxes=chain if chain.boxes else None,
+            path_mode=values["path"],
+            middleboxes=values["middleboxes"] or None,
         )
     selected = recording.selected
     return RecordingSummary(
@@ -336,8 +322,8 @@ def produce_summary(
         stack=stack.name,
         runs=runs,
         selection_metric=selection_metric,
-        path=path,
-        middleboxes=chain.name if chain.boxes else "none",
+        **{axis.name: axis.token(values[axis.name])
+           for axis in axes.OPTIONAL_AXES},
         selected_metrics=selected.metrics.as_dict(),
         selected_curve=selected.curve.points,
         run_metrics=[r.metrics.as_dict() for r in recording.runs],

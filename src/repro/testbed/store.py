@@ -4,9 +4,7 @@
 the analysis layer: it iterates ``(ConditionKey, RecordingSummary)``
 pairs straight off the campaign manifest and the content-addressed
 recording cache, one summary in memory at a time, instead of
-materialising the whole grid the way the deprecated
-``Campaign.summaries()`` does — new callers want
-``Campaign.iter_summaries()`` / ``Campaign.summary_store()``.
+materialising the whole grid.
 
 Two ways to build one:
 
@@ -27,7 +25,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import re
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,6 +39,7 @@ from typing import (
     Union,
 )
 
+from repro import axes
 from repro.testbed import faults, harness
 from repro.testbed.harness import RecordingCache, RecordingSummary
 
@@ -59,8 +57,7 @@ class StaleCampaignError(ValueError):
     """
 
 #: Axis names a :class:`ConditionKey` can be pivoted/grouped on.
-CONDITION_AXES = ("website", "network", "stack", "seed", "path",
-                  "middleboxes")
+CONDITION_AXES = axes.AXIS_NAMES
 
 #: Campaign-directory subdirectory holding per-condition lease files
 #: (the distributed claim protocol — see ``repro.testbed.distributed``).
@@ -90,9 +87,6 @@ QUARANTINE_DIRNAME = "quarantine"
 #: worker recorded the condition — that worker wrote the manifest line),
 #: but it means the same thing: the recording exists.
 OK_STATUSES = ("simulated", "cached", "resumed", "shared")
-
-#: Labels end in ``_s<seed>`` (see ``harness.condition_label``).
-_SEED_SUFFIX = re.compile(r"_s(\d+)$")
 
 
 # -- crash-safe record I/O ---------------------------------------------------
@@ -212,17 +206,13 @@ class ConditionKey:
     seed: int
     label: str
     fingerprint: str
-    #: Path topology mode ("direct" end-to-end, "split" per-segment
-    #: proxies); "direct" for every condition recorded before the axis
-    #: existed.
+    #: Optional-axis tokens (see :mod:`repro.axes`); conditions recorded
+    #: before an axis existed read back as its default.
     path: str = "direct"
-    #: In-path middlebox chain name ("none" when clean); "none" for
-    #: every condition recorded before the axis existed.
     middleboxes: str = "none"
 
     def axis(self, name: str) -> object:
-        """Value of one pivot axis (website / network / stack / seed /
-        path / middleboxes)."""
+        """Value of one pivot axis (see :data:`CONDITION_AXES`)."""
         if name not in CONDITION_AXES:
             raise KeyError(
                 f"unknown condition axis {name!r}; "
@@ -232,11 +222,6 @@ class ConditionKey:
     def axes(self, names: Sequence[str]) -> Tuple[object, ...]:
         """Tuple of axis values, e.g. a group-by key."""
         return tuple(self.axis(name) for name in names)
-
-
-def _seed_from_label(label: str) -> int:
-    match = _SEED_SUFFIX.search(label)
-    return int(match.group(1)) if match else -1
 
 
 class SummaryStore:
@@ -276,10 +261,10 @@ class SummaryStore:
         Raises :class:`StaleCampaignError` when the directory records a
         ``sim_behaviour`` version (in ``spec.json`` or any manifest
         line) different from the running simulator's — those summaries
-        are not comparable with current output. ``check_behaviour=False``
-        opens it anyway (e.g. to inspect historical results). Dirs from
-        before the version was recorded carry no marker and cannot be
-        checked.
+        are not comparable with current output, or records no version
+        at all (such dirs predate version stamping, so their simulator
+        is older than the current one). ``check_behaviour=False`` opens
+        it anyway (e.g. to inspect historical results).
         """
         campaign_dir = Path(campaign_dir)
         manifest = campaign_dir / "manifest.jsonl"
@@ -291,12 +276,13 @@ class SummaryStore:
         store = cls(RecordingCache(cache_dir), campaign_dir=campaign_dir)
         if check_behaviour:
             recorded = store.recorded_behaviour_version()
-            if recorded is not None and \
-                    recorded != harness.SIM_BEHAVIOUR_VERSION:
+            if recorded != harness.SIM_BEHAVIOUR_VERSION:
+                under = "no SIM_BEHAVIOUR_VERSION stamp (a simulator " \
+                    "older than version stamps)" if recorded is None \
+                    else f"SIM_BEHAVIOUR_VERSION={recorded}"
                 raise StaleCampaignError(
                     f"campaign dir {campaign_dir} was recorded under "
-                    f"SIM_BEHAVIOUR_VERSION={recorded}, but the current "
-                    f"simulator is version "
+                    f"{under}, but the current simulator is version "
                     f"{harness.SIM_BEHAVIOUR_VERSION}, so its summaries "
                     f"are not comparable with current output; re-run "
                     f"the campaign, or open with check_behaviour=False "
@@ -328,35 +314,23 @@ class SummaryStore:
 
     def _key_from_record(
             self, record: Dict[str, object]) -> Optional[ConditionKey]:
+        """The record's key; records without the axis fields (written
+        before manifests carried them) are skipped and logged."""
         label = str(record.get("label", ""))
         fingerprint = str(record.get("fingerprint", ""))
         if not label or not fingerprint:
             return None
-        if "website" in record:  # axis fields written since the manifest
-            return ConditionKey(  # format gained them
-                website=str(record["website"]),
-                network=str(record["network"]),
-                stack=str(record["stack"]),
-                seed=int(record.get("seed", _seed_from_label(label))),
-                label=label, fingerprint=fingerprint,
-                path=str(record.get("path", "direct")),
-                middleboxes=str(record.get("middleboxes", "none")),
-            )
-        # Legacy manifest line: recover the axes from the summary itself.
-        summary = self.cache.load(label, fingerprint)
-        if summary is None:
+        try:
+            return ConditionKey(label=label, fingerprint=fingerprint,
+                                **axes.read_tokens(record))
+        except (KeyError, TypeError, ValueError):
+            logger.warning("%s: skipping manifest record %s without axis "
+                           "fields", self.manifest_path, fingerprint)
             return None
-        return ConditionKey(
-            website=summary.website, network=summary.network,
-            stack=summary.stack, seed=_seed_from_label(label),
-            label=label, fingerprint=fingerprint,
-            path=getattr(summary, "path", "direct"),
-            middleboxes=getattr(summary, "middleboxes", "none"),
-        )
 
     def keys(self) -> List[ConditionKey]:
-        """Every recorded condition's key (no summaries loaded for
-        manifests that carry axis fields)."""
+        """Every recorded condition's key, read off the manifest alone
+        (no summary is loaded)."""
         if self._keys is not None:
             return list(self._keys)
         out: List[ConditionKey] = []
@@ -460,10 +434,8 @@ class SummaryStore:
     def recorded_count(self) -> int:
         """How many conditions the manifest says were recorded ok.
 
-        Unlike ``len(self.keys())`` this never loads a summary, so on a
-        legacy manifest with an empty/wrong cache it still reports the
-        manifest's claim — callers can compare it against what
-        iteration actually yields to detect a missing cache.
+        Callers compare it against what iteration actually yields to
+        detect a missing or pruned cache.
         """
         if self._keys is not None:
             return len(self._keys)

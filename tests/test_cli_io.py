@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro import axes
+from repro.cli import _parse_pivot, build_parser, main
 from repro.web.corpus import build_site
 from repro.web.io import (
     load_website,
@@ -237,3 +238,42 @@ class TestCli:
         for command in ("tables", "sites", "load", "sweep", "campaign",
                         "study", "export"):
             assert command in text
+
+
+#: A non-default CLI value for each core axis (optional axes use their
+#: first non-default choice).
+_CORE_VALUES = {"website": "gov.uk", "network": "DSL", "stack": "TCP",
+                "seed": "1"}
+
+
+def _non_default(axis):
+    if axis.name in _CORE_VALUES:
+        return _CORE_VALUES[axis.name]
+    return next(c for c in axis.choices if c != axis.default_token)
+
+
+@pytest.mark.parametrize("axis", axes.AXES, ids=lambda axis: axis.name)
+class TestCampaignAxisFlags:
+    """Every registry axis is a campaign flag, a --join conflict and a
+    pivot name."""
+
+    def test_flag_in_help(self, axis, capsys):
+        with pytest.raises(SystemExit):
+            main(["campaign", "--help"])
+        assert f"--{axis.plural}" in capsys.readouterr().out
+
+    def test_join_conflict(self, axis, tmp_path):
+        with pytest.raises(SystemExit, match=f"--{axis.plural} conflicts "
+                                             f"with --join"):
+            main(["campaign", "--join", str(tmp_path),
+                  f"--{axis.plural}", _non_default(axis)])
+
+    def test_pivot_accepts_axis(self, axis):
+        other = "stack" if axis.name != "stack" else "network"
+        assert _parse_pivot(f"{other},{axis.name}") == \
+            ((other,), axis.name)
+
+    def test_pivot_refuses_unknown_axis(self, axis):
+        with pytest.raises(SystemExit, match="unknown pivot axis"):
+            _parse_pivot(f"{axis.name},{axis.name}x")
+

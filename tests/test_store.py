@@ -61,12 +61,17 @@ class TestLiveStore:
                      for c, s in finished_campaign.iter_summaries()}
         assert from_store == from_iter
 
-    def test_summaries_deprecated_but_equivalent(self, finished_campaign):
-        with pytest.warns(DeprecationWarning):
-            batch = finished_campaign.summaries()
-        streamed = [s for _, s in finished_campaign.iter_summaries()]
-        assert [s.to_json() for s in batch] == \
-            [s.to_json() for s in streamed]
+    def test_iter_summaries_match_cache_entries(self, finished_campaign):
+        """The whole-grid list is gone; streaming yields exactly the
+        cached recording of each condition, in sweep order."""
+        assert not hasattr(finished_campaign, "summaries")
+        streamed = [(c.label, s.to_json())
+                    for c, s in finished_campaign.iter_summaries()]
+        cached = [(c.label,
+                   finished_campaign.cache.load(c.label,
+                                                c.fingerprint()).to_json())
+                  for c in finished_campaign.spec.conditions()]
+        assert streamed == cached
 
     def test_iter_summaries_raises_on_unrecorded(self, tmp_path):
         campaign = Campaign(CampaignSpec(name="unrun", **GRID),
@@ -173,35 +178,37 @@ class TestPostHoc:
         assert calls == []
 
     def test_open_legacy_manifest_without_axis_fields(
-            self, finished_campaign, tmp_path):
-        """Manifests written before the axis fields still open: the
-        axes are recovered from the summaries themselves."""
+            self, finished_campaign, tmp_path, caplog):
+        """Manifests written before the axis fields predate version
+        stamps too, so open() refuses them; opened unchecked, their
+        axis-less lines are skipped and logged like torn lines, never
+        reconstructed from the summaries."""
         legacy_dir = tmp_path / "legacy"
         legacy_dir.mkdir()
         stripped = []
         for line in finished_campaign.manifest_path.read_text().splitlines():
             record = json.loads(line)
             # Manifests that predate the axis fields also predate the
-            # record checksum; keeping a modern crc on the stripped
-            # record would (correctly) read as bit rot.
-            for field in ("website", "network", "stack", "seed", "crc"):
+            # record checksum and the behaviour stamp.
+            for field in ("website", "network", "stack", "seed", "crc",
+                          "sim_behaviour"):
                 record.pop(field, None)
             stripped.append(json.dumps(record))
         (legacy_dir / "manifest.jsonl").write_text(
             "\n".join(stripped) + "\n")
+        with pytest.raises(StaleCampaignError, match="no SIM_BEHAVIOUR"):
+            SummaryStore.open(
+                legacy_dir, cache_dir=finished_campaign.cache.directory)
         store = SummaryStore.open(
-            legacy_dir, cache_dir=finished_campaign.cache.directory)
-        pairs = list(store)
-        assert len(pairs) == 4
-        assert {k.seed for k, _ in pairs} == {5, 6}
-        assert {k.stack for k, _ in pairs} == {"TCP", "QUIC"}
-        # recorded_count reflects the manifest's claim even when the
-        # cache is gone (keys() cannot reconstruct legacy keys then).
+            legacy_dir, cache_dir=finished_campaign.cache.directory,
+            check_behaviour=False)
+        with caplog.at_level("WARNING", logger="repro.testbed.store"):
+            assert store.keys() == []
+            assert caplog.text.count("without axis fields") == 4
+        assert list(store) == []
+        # recorded_count still reports the manifest's claim, so callers
+        # can tell "nothing recorded" from "nothing readable".
         assert store.recorded_count() == 4
-        orphan = SummaryStore.open(legacy_dir,
-                                   cache_dir=legacy_dir / "nope")
-        assert orphan.recorded_count() == 4
-        assert orphan.keys() == []
 
     def test_open_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -236,24 +243,29 @@ class TestPostHoc:
                                   check_behaviour=False)
         assert len(list(stale)) == 4
 
-    def test_open_cannot_check_unstamped_legacy_dir(self, finished_campaign,
-                                                    tmp_path, monkeypatch):
-        """Dirs from before version stamping carry no marker: open()
-        accepts them (documented limitation) instead of guessing."""
+    def test_open_refuses_unstamped_legacy_dir(self, finished_campaign,
+                                               tmp_path):
+        """Dirs from before version stamping carry no marker; they were
+        recorded by an older simulator, so open() refuses them."""
         legacy_dir = tmp_path / "legacy-version"
         legacy_dir.mkdir()
         stripped = []
         for line in finished_campaign.manifest_path.read_text().splitlines():
             record = json.loads(line)
-            record.pop("sim_behaviour", None)
+            # Unstamped manifests also predate the record checksum.
+            for field in ("sim_behaviour", "crc"):
+                record.pop(field, None)
             stripped.append(json.dumps(record))
         (legacy_dir / "manifest.jsonl").write_text(
             "\n".join(stripped) + "\n")
-        monkeypatch.setattr(harness_mod, "SIM_BEHAVIOUR_VERSION",
-                            harness_mod.SIM_BEHAVIOUR_VERSION + 1)
+        with pytest.raises(StaleCampaignError, match="re-run"):
+            SummaryStore.open(
+                legacy_dir, cache_dir=finished_campaign.cache.directory)
         store = SummaryStore.open(
-            legacy_dir, cache_dir=finished_campaign.cache.directory)
+            legacy_dir, cache_dir=finished_campaign.cache.directory,
+            check_behaviour=False)
         assert store.recorded_behaviour_version() is None
+        assert len(list(store)) == 4
 
     def test_grid_report_from_posthoc_store(self, finished_campaign):
         """The acceptance path: Table-style pivot from a dir on disk."""

@@ -23,6 +23,8 @@ from repro.study.simulate import (
     run_campaign,
     scaled_participants,
 )
+from repro.testbed.harness import RecordingSummary
+from repro.testbed.store import ConditionKey
 
 from tests.conftest import SMALL_SITES
 
@@ -80,6 +82,36 @@ class TestConditionIndex:
         index.add(2, FakeSummary(2.0))  # lower seed replaces
         index.add(9, FakeSummary(3.0))  # higher seed is ignored
         assert index.lookup("w.example", "DSL", "TCP").si == 2.0
+
+    def test_middlebox_recordings_do_not_collide(self):
+        """A clean and a middlebox recording of the same site/network/
+        stack/seed are distinct viewing conditions: both are indexed,
+        each under its own network qualifier."""
+        def summary(plt, **axes):
+            return RecordingSummary(
+                website="w.example", network="SAT+LAN", stack="TCP",
+                runs=1, selection_metric="PLT",
+                selected_metrics={"SI": plt, "FVC": plt, "LVC": plt,
+                                  "VC85": plt, "PLT": plt},
+                selected_curve=[(0.0, 0.0), (plt, 1.0)],
+                run_metrics=[{"PLT": plt}], mean_retransmissions=0.0,
+                mean_segments_sent=1.0, completed_fraction=1.0, **axes)
+
+        key = ConditionKey(website="w.example", network="SAT+LAN",
+                           stack="TCP", seed=0, label="l", fingerprint="f")
+        index = ConditionIndex.from_pairs([
+            (key, summary(0.4)),
+            (key, summary(7.7, middleboxes="ack-decimate")),
+            (key, summary(1.5, path="split")),
+            (key, summary(9.0, path="split", middleboxes="adversarial")),
+        ])
+        assert len(index) == 4
+        assert index.lookup("w.example", "SAT+LAN", "TCP").plt == 0.4
+        assert index.lookup(
+            "w.example", "SAT+LAN@ack-decimate", "TCP").plt == 7.7
+        assert index.lookup("w.example", "SAT+LAN@split", "TCP").plt == 1.5
+        assert index.lookup(
+            "w.example", "SAT+LAN@split@adversarial", "TCP").plt == 9.0
 
 
 class TestPartialAgainstClassicCampaign:
