@@ -6,20 +6,15 @@ the Internet median, ordered by the lab mean. The paper's conclusion —
 is asserted on the regenerated data.
 """
 
-from repro.analysis.agreement import agreement_by_condition
 from repro.analysis.stats import is_normal
 from repro.report import render_figure3
+from repro.study.pipeline import agreement_by_condition
 
 from benchmarks.conftest import emit
 
 
-def test_fig3_agreement(campaign, benchmark):
-    rows = benchmark(
-        agreement_by_condition,
-        campaign.rating_filtered["lab"],
-        campaign.rating_filtered["microworker"],
-        campaign.rating_filtered["internet"],
-    )
+def test_fig3_agreement(partial, benchmark):
+    rows = benchmark(agreement_by_condition, partial)
     emit("figure3", render_figure3(rows))
     assert rows
 
@@ -30,11 +25,10 @@ def test_fig3_agreement(campaign, benchmark):
     assert agreeing / len(checkable) > 0.6
 
 
-def test_fig3_vote_distributions(campaign, benchmark):
+def test_fig3_vote_distributions(rows, benchmark):
     """Lab and µWorker votes are ~normal; Internet votes are not."""
     def votes(group):
-        return [t.speed_score for s in campaign.rating_filtered[group]
-                for t in s.trials]
+        return rows[(group, "rating")].trials["speed"].ravel().tolist()
 
     internet_normal = benchmark(is_normal, votes("internet"))
     assert not internet_normal

@@ -6,15 +6,14 @@ differences are hardest to spot on DSL, TCP beats TCP+ on DA2GC but not
 on MSS, and replay counts are higher on the fast networks.
 """
 
-from repro.analysis.ab import ab_vote_shares
 from repro.report import render_figure4
+from repro.study.pipeline import ab_vote_shares
 
 from benchmarks.conftest import emit
 
 
-def test_fig4_vote_shares(campaign, benchmark):
-    sessions = campaign.ab_filtered["microworker"]
-    shares = benchmark(ab_vote_shares, sessions)
+def test_fig4_vote_shares(partial, benchmark):
+    shares = benchmark(ab_vote_shares, partial)
     emit("figure4", render_figure4(shares))
 
     def cell(pair, network):
@@ -43,8 +42,8 @@ def test_fig4_vote_shares(campaign, benchmark):
     assert cell("TCP+ vs. TCP", "DSL").share_same > 0.25
 
 
-def test_fig4_replays_higher_on_fast_networks(campaign, benchmark):
-    shares = benchmark(ab_vote_shares, campaign.ab_filtered["microworker"])
+def test_fig4_replays_higher_on_fast_networks(partial, benchmark):
+    shares = benchmark(ab_vote_shares, partial)
     fast = [c.mean_replays for (_, n), c in shares.items()
             if n in ("DSL", "LTE")]
     slow = [c.mean_replays for (_, n), c in shares.items()
@@ -52,9 +51,9 @@ def test_fig4_replays_higher_on_fast_networks(campaign, benchmark):
     assert sum(fast) / len(fast) > sum(slow) / len(slow)
 
 
-def test_fig4_lab_group_same_direction(campaign, benchmark):
+def test_fig4_lab_group_same_direction(partial, benchmark):
     """The supervised lab group reaches the same qualitative verdicts."""
-    shares = benchmark(ab_vote_shares, campaign.ab_filtered["lab"])
+    shares = benchmark(ab_vote_shares, partial, "lab")
     cell = shares.get(("QUIC vs. TCP", "MSS"))
     if cell is not None and cell.total >= 10:
         assert cell.share_a > cell.share_b

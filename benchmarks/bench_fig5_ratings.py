@@ -7,18 +7,17 @@ level; the plane context is rated poor; work and free time are similar.
 
 from statistics import fmean
 
-from repro.analysis.rating import anova_by_setting, rating_means
 from repro.report import render_figure5
+from repro.study.pipeline import anova_by_setting, rating_means
 
 from benchmarks.conftest import emit
 
 
-def test_fig5_rating_means(campaign, benchmark):
-    sessions = campaign.rating_filtered["microworker"]
-    cells = benchmark(rating_means, sessions)
+def test_fig5_rating_means(partial, benchmark):
+    cells = benchmark(rating_means, partial)
     text = render_figure5(cells)
 
-    anovas = anova_by_setting(sessions)
+    anovas = anova_by_setting(partial)
     lines = [text, "", "One-way ANOVA across stacks per setting:"]
     for setting in anovas:
         p = setting.result.p_value if setting.result else float("nan")
@@ -41,11 +40,9 @@ def test_fig5_rating_means(campaign, benchmark):
     assert abs(mean_for("work") - mean_for("free_time")) < 6
 
 
-def test_fig5_quality_score_variant(campaign, benchmark):
+def test_fig5_quality_score_variant(partial, benchmark):
     """The second question (loading-process quality) behaves alike."""
-    cells = benchmark(rating_means,
-                      campaign.rating_filtered["microworker"],
-                      which="quality")
+    cells = benchmark(rating_means, partial, which="quality")
     plane = [c.mean for c in cells if c.context == "plane"]
     work = [c.mean for c in cells if c.context == "work"]
     assert fmean(plane) < fmean(work)

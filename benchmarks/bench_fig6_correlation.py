@@ -8,15 +8,14 @@ strengthen as the network slows down.
 
 from statistics import fmean
 
-from repro.analysis.correlation import correlation_heatmap
 from repro.report import render_figure6
+from repro.study.pipeline import correlation_heatmap
 
 from benchmarks.conftest import emit
 
 
-def test_fig6_heatmap(campaign, testbed, benchmark):
-    sessions = campaign.rating_filtered["microworker"]
-    heatmap = benchmark(correlation_heatmap, sessions, testbed)
+def test_fig6_heatmap(partial, index, benchmark):
+    heatmap = benchmark(correlation_heatmap, partial, index)
     means = heatmap.mean_r_by_metric()
     summary = ", ".join(f"{k}={v:.2f}" for k, v in sorted(means.items()))
     emit("figure6", render_figure6(heatmap) +
@@ -31,9 +30,8 @@ def test_fig6_heatmap(campaign, testbed, benchmark):
     assert min(means["SI"], means["FVC"], means["VC85"]) < means["PLT"]
 
 
-def test_fig6_slower_networks_correlate_stronger(campaign, testbed, benchmark):
-    heatmap = benchmark(correlation_heatmap,
-                        campaign.rating_filtered["microworker"], testbed)
+def test_fig6_slower_networks_correlate_stronger(partial, index, benchmark):
+    heatmap = benchmark(correlation_heatmap, partial, index)
 
     def mean_r(networks):
         values = [r for (stack, metric, network), r in

@@ -4,7 +4,7 @@ Per-video durations, replay behaviour, vote-distribution normality and
 demographics, next to the numbers the paper reports.
 """
 
-from repro.analysis.agreement import behaviour_statistics
+from repro.study.rows import behaviour_statistics
 
 from benchmarks.conftest import emit
 
@@ -19,15 +19,11 @@ PAPER_SECONDS = {
 }
 
 
-def test_sec42_behaviour(campaign, benchmark):
+def test_sec42_behaviour(rows, benchmark):
     def compute():
-        stats = {}
-        for group in ("lab", "microworker", "internet"):
-            stats[(group, "ab")] = behaviour_statistics(
-                campaign.ab_filtered[group], group, "ab")
-            stats[(group, "rating")] = behaviour_statistics(
-                campaign.rating_filtered[group], group, "rating")
-        return stats
+        return {(group, study): behaviour_statistics(rows[(group, study)])
+                for group in ("lab", "microworker", "internet")
+                for study in ("ab", "rating")}
 
     stats = benchmark(compute)
 
@@ -39,7 +35,7 @@ def test_sec42_behaviour(campaign, benchmark):
         lines.append(
             f"  {group:12s} {study:7s} {s.mean_seconds_per_video:8.2f} "
             f"{paper:6.2f} {s.mean_replays:8.2f} "
-            f"{s.demographics.male_share:6.1%}"
+            f"{s.male_share:6.1%}"
         )
     emit("sec42_behaviour", "\n".join(lines))
 
@@ -56,7 +52,7 @@ def test_sec42_behaviour(campaign, benchmark):
     # large enough for the share to be stable.
     for s in stats.values():
         if s.sessions >= 40:
-            assert 0.66 < s.demographics.male_share < 0.88
+            assert 0.66 < s.male_share < 0.88
 
     # Per-video durations within a plausible band of the paper's values.
     for key, s in stats.items():

@@ -7,15 +7,14 @@ point towards QUIC. Regenerates that drill-down.
 
 from collections import Counter
 
-from repro.analysis.rating import per_website_differences
+from repro.study.pipeline import per_website_differences
 from repro.web.corpus import build_site
 
 from benchmarks.conftest import emit
 
 
-def test_sec44_per_website_differences(campaign, benchmark):
-    sessions = campaign.rating_filtered["microworker"]
-    diffs = benchmark(per_website_differences, sessions)
+def test_sec44_per_website_differences(partial, benchmark):
+    diffs = benchmark(per_website_differences, partial)
 
     lines = ["Section 4.4: websites with significant (90%) rating "
              "differences:"]
@@ -42,10 +41,9 @@ def test_sec44_per_website_differences(campaign, benchmark):
     assert quic_wins >= tcp_wins
 
 
-def test_sec44_quic_sites_are_multi_host(campaign, benchmark):
+def test_sec44_quic_sites_are_multi_host(partial, benchmark):
     """'Only many contacted systems seem to point towards QUIC.'"""
-    diffs = benchmark(per_website_differences,
-                      campaign.rating_filtered["microworker"])
+    diffs = benchmark(per_website_differences, partial)
     quic_sites = {d.website for d in diffs
                   if d.faster_stack.startswith("QUIC")}
     if quic_sites:

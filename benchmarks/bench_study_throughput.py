@@ -4,15 +4,15 @@ Measures simulated participants/second for the microworker A/B and
 rating studies at a multiple of the paper's participant counts
 (``--scale``, default 10x: 4 870 A/B + 15 630 rating participants).
 
-* ``before`` — the per-participant scalar reference path
-  (:mod:`repro.study.reference`) materializing sessions, then the R1-R7
-  conformance filters — the shape of the pre-vectorization pipeline.
-* ``after`` — :func:`repro.study.pipeline.build_partial`: the block
-  engines in aggregate mode (no event draws, no session objects),
-  folding straight into mergeable funnel/vote/moment state.
+* ``before`` — the per-vote scalar reference kernels
+  (:mod:`repro.study.reference`) over the same engine blocks, then the
+  R1-R7 funnel — the vote logic of the pre-vectorization pipeline.
+* ``after`` — :func:`repro.study.pipeline.build_partial`: the
+  vectorized block kernels, folding straight into mergeable
+  funnel/vote/moment state.
 
 Both paths draw from the same RNG block tree, so they produce the same
-votes (pinned exactly by tests/test_study_equivalence.py); the
+blocks (pinned exactly by tests/test_study_equivalence.py); the
 equivalence is what makes the speedup a pure optimization.
 
 Run standalone to merge a ``study_throughput`` snapshot into
@@ -34,15 +34,15 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.study.design import StudyPlan  # noqa: E402
-from repro.study.filtering import apply_filters  # noqa: E402
+from repro.study.design import StudyPlan, scaled_participants  # noqa: E402
+from repro.study.engine import AbEngine, RatingEngine  # noqa: E402
+from repro.study.filtering import funnel_from_flags  # noqa: E402
 from repro.study.participants import GROUPS  # noqa: E402
 from repro.study.pipeline import ConditionIndex, build_partial  # noqa: E402
 from repro.study.reference import (  # noqa: E402
-    run_ab_study_reference,
-    run_rating_study_reference,
+    compute_ab_block_reference,
+    compute_rating_block_reference,
 )
-from repro.study.simulate import scaled_participants  # noqa: E402
 from repro.testbed.harness import Testbed  # noqa: E402
 
 BENCH_PATH = REPO_ROOT / "BENCH_hotpath.json"
@@ -59,16 +59,17 @@ def _participants(scale: float) -> tuple:
                                 GROUP))
 
 
-def bench_before(testbed, plan, scale: float) -> dict:
-    """Scalar reference runners + conformance filters."""
+def bench_before(index, plan, scale: float) -> dict:
+    """Scalar reference kernels + conformance funnel."""
     n_ab, n_rating = _participants(scale)
     start = time.perf_counter()
-    ab = run_ab_study_reference(testbed, group=GROUP, plan=plan,
-                                participants=n_ab, seed=SEED)
-    rating = run_rating_study_reference(testbed, group=GROUP, plan=plan,
-                                        participants=n_rating, seed=SEED)
-    apply_filters(ab.sessions, GROUP, "ab")
-    apply_filters(rating.sessions, GROUP, "rating")
+    for engine, n, compute in (
+            (AbEngine(GROUP, plan, lookup=index.lookup), n_ab,
+             compute_ab_block_reference),
+            (RatingEngine(GROUP, plan, lookup=index.lookup), n_rating,
+             compute_rating_block_reference)):
+        for block in engine.blocks(n, SEED, compute=compute):
+            funnel_from_flags(block.flags)
     elapsed = time.perf_counter() - start
     total = n_ab + n_rating
     return {"participants": total, "seconds": round(elapsed, 3),
@@ -94,11 +95,11 @@ def bench_study_throughput(scale: float) -> dict:
         plan = StudyPlan(sites=SITES)
         index = ConditionIndex.from_testbed(testbed, plan)
 
-        before = bench_before(testbed, plan, scale)
+        before = bench_before(index, plan, scale)
         after = bench_after(index, plan, scale)
     speedup = round(after["participants_per_s"] /
                     before["participants_per_s"], 2)
-    print(f"  before (scalar sessions): {before['seconds']:7.2f}s "
+    print(f"  before (scalar kernels):  {before['seconds']:7.2f}s "
           f"({before['participants_per_s']:9.1f} participants/s)")
     print(f"  after  (vector pipeline): {after['seconds']:7.2f}s "
           f"({after['participants_per_s']:9.1f} participants/s)")

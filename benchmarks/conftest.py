@@ -1,8 +1,10 @@
-"""Benchmark fixtures: the shared measurement campaign.
+"""Benchmark fixtures: the shared measurement campaign and study.
 
 The first run pays for the testbed sweep (page-load simulations); results
 are disk-cached under ``.repro-cache`` so subsequent benchmark runs are
-fast. Control knobs:
+fast. The study runs once on the pipeline: ``partial`` holds the
+aggregates behind Table 3 and Figures 3-6, ``rows`` the surviving rows
+behind Section 4.2 and the vote distributions. Control knobs:
 
 * ``REPRO_BENCH_FULL=1`` — sweep all 36 corpus sites (paper scale)
   instead of the 12 named sites.
@@ -20,7 +22,8 @@ from pathlib import Path
 import pytest
 
 from repro.study.design import StudyPlan
-from repro.study.simulate import run_campaign
+from repro.study.pipeline import ConditionIndex, build_partial
+from repro.study.rows import rows_by_study
 from repro.testbed.harness import Testbed
 from repro.web.corpus import CORPUS_SITE_NAMES
 
@@ -32,6 +35,9 @@ NAMED_SITES = [
 ]
 
 RESULTS_DIR = Path("results")
+
+#: Seed of the simulated participants.
+STUDY_SEED = 7
 
 
 def bench_sites():
@@ -69,6 +75,17 @@ def plan():
 
 
 @pytest.fixture(scope="session")
-def campaign(testbed, plan):
-    return run_campaign(testbed, plan, seed=7,
-                        participants_scale=bench_scale())
+def index(testbed, plan):
+    return ConditionIndex.from_testbed(testbed, plan)
+
+
+@pytest.fixture(scope="session")
+def partial(index, plan):
+    return build_partial(index, plan, seed=STUDY_SEED,
+                         participants_scale=bench_scale())
+
+
+@pytest.fixture(scope="session")
+def rows(index, plan):
+    return rows_by_study(index, plan, seed=STUDY_SEED,
+                         participants_scale=bench_scale())

@@ -2,10 +2,10 @@
 """Run a miniature version of both user studies end to end.
 
 Reproduces the paper's full pipeline on a reduced scale: record the study
-conditions, simulate A/B and rating sessions for all three subject
-groups, apply the R1-R7 conformance filters (Table 3), and print the
+conditions, simulate A/B and rating participants for all three subject
+groups, apply the R1-R7 conformance filters (Table 3), print the
 vote-share figure (Figure 4) and the rating means with ANOVA verdicts
-(Figure 5).
+(Figure 5), and write the CSV data release.
 
 Run:  python examples/run_user_study.py
       (first run simulates a few hundred page loads; results are cached
@@ -14,12 +14,15 @@ Run:  python examples/run_user_study.py
 
 from pathlib import Path
 
-from repro import StudyPlan, Testbed
-from repro.analysis.ab import ab_vote_shares
-from repro.analysis.rating import anova_by_setting, rating_means
+from repro import ConditionIndex, StudyPlan, Testbed
 from repro.report import render_figure4, render_figure5, render_table3
-from repro.study.export import export_campaign
-from repro.study.simulate import run_campaign
+from repro.study.export import export_rows
+from repro.study.pipeline import (
+    anova_by_setting,
+    build_partial,
+    build_report,
+)
+from repro.study.rows import rows_by_study
 
 SITES = ["wikipedia.org", "gov.uk", "etsy.com", "spotify.com",
          "apache.org", "wordpress.com"]
@@ -32,20 +35,21 @@ def main() -> None:
     testbed.sweep(sites=SITES)
 
     print("Simulating participants (3 groups x 2 studies)...\n")
-    campaign = run_campaign(testbed, plan, seed=1, participants_scale=0.3)
+    index = ConditionIndex.from_testbed(testbed, plan)
+    partial = build_partial(index, plan, seed=1, participants_scale=0.3)
+    report = build_report(partial, index)
 
-    print(render_table3(campaign.funnels))
+    print(render_table3(report.funnels))
     print()
 
-    print(render_figure4(ab_vote_shares(campaign.ab_filtered["microworker"])))
+    print(render_figure4(report.ab_shares))
     print()
 
-    sessions = campaign.rating_filtered["microworker"]
-    print(render_figure5(rating_means(sessions)))
+    print(render_figure5(report.rating_cells))
     print()
 
     print("ANOVA across stacks per setting (the 'do users care?' test):")
-    for setting in anova_by_setting(sessions):
+    for setting in anova_by_setting(partial):
         p = setting.result.p_value if setting.result else float("nan")
         verdict = ("significant at 99%" if setting.significant(0.01)
                    else "significant at 90%" if setting.significant(0.10)
@@ -55,7 +59,8 @@ def main() -> None:
 
     # The paper publishes its study data (study.netray.io); do the same.
     release = Path("results/study-data")
-    written = export_campaign(campaign, testbed, release)
+    rows = rows_by_study(index, plan, seed=1, participants_scale=0.3)
+    written = export_rows(rows.values(), index, release)
     print(f"\nwrote the study-data release ({len(written)} CSV files) "
           f"to {release}/")
 

@@ -11,37 +11,38 @@ The package rebuilds the paper's entire pipeline from scratch:
 * :mod:`repro.browser` — page loads, visual-progress curves and the
   FVC/LVC/SI/VC85/PLT metrics;
 * :mod:`repro.testbed` — cached condition sweeps;
-* :mod:`repro.study` — both user studies with simulated participants and
-  the R1-R7 conformance filters;
+* :mod:`repro.study` — both user studies with simulated participants,
+  the R1-R7 conformance filters and the mergeable study pipeline;
 * :mod:`repro.analysis` / :mod:`repro.report` — the analyses and ASCII
   renderings of Tables 1-3 and Figures 3-6.
 
 Quickstart::
 
-    from repro import Testbed, StudyPlan, run_ab_study, apply_filters
+    from repro import (ConditionIndex, StudyPlan, Testbed, build_partial,
+                       build_report)
     testbed = Testbed(runs=7)
     plan = StudyPlan(sites=["wikipedia.org", "gov.uk"])
-    study = run_ab_study(testbed, group="microworker", plan=plan,
-                         participants=50, seed=1)
-    kept, funnel = apply_filters(study.sessions, "microworker", "ab")
+    testbed.sweep(sites=plan.sites)
+    index = ConditionIndex.from_testbed(testbed, plan)
+    partial = build_partial(index, plan, seed=1, participants_scale=0.1)
+    print(build_report(partial, index).render())   # Table 3, Figs. 3-6
 """
 
-from repro.analysis import (
+from repro.browser import compute_metrics, load_page, record_website
+from repro.netem import NETWORKS, NetworkProfile, network_by_name
+from repro.study import (
+    ConditionIndex,
+    StudyPlan,
     ab_vote_shares,
     agreement_by_condition,
     anova_by_setting,
     behaviour_statistics,
+    build_partial,
+    build_report,
     correlation_heatmap,
     per_website_differences,
     rating_means,
-)
-from repro.browser import compute_metrics, load_page, record_website
-from repro.netem import NETWORKS, NetworkProfile, network_by_name
-from repro.study import (
-    StudyPlan,
-    apply_filters,
-    run_ab_study,
-    run_rating_study,
+    study_rows,
 )
 from repro.testbed import RecordingSummary, Testbed
 from repro.transport import STACKS, StackConfig, stack_by_name
@@ -53,9 +54,10 @@ __all__ = [
     "Testbed",
     "RecordingSummary",
     "StudyPlan",
-    "run_ab_study",
-    "run_rating_study",
-    "apply_filters",
+    "ConditionIndex",
+    "build_partial",
+    "build_report",
+    "study_rows",
     "ab_vote_shares",
     "rating_means",
     "anova_by_setting",

@@ -5,28 +5,21 @@
 * :mod:`repro.analysis.ab` — Figure 4 vote shares and replay counts.
 * :mod:`repro.analysis.rating` — Figure 5 means/CIs, ANOVA significance
   and Section 4.4's per-website differences.
-* :mod:`repro.analysis.agreement` — Figure 3 group agreement and the
-  Section 4.2 behavioural statistics.
+* :mod:`repro.analysis.agreement` — Figure 3 group agreement.
 * :mod:`repro.analysis.correlation` — Figure 6 metric-vs-vote Pearson
   heatmap.
+
+The figure modules hold result types only; the study pipeline
+(:mod:`repro.study.pipeline`) computes them from merged partials.
 * :mod:`repro.analysis.streaming` — mergeable incremental accumulators
   (moments, histogram, per-axis group-by, pivoted grid reports) for
   O(axes)-memory aggregation of streamed campaign summaries.
 """
 
-from repro.analysis.ab import AbShares, ab_vote_shares
-from repro.analysis.agreement import (
-    ConditionAgreement,
-    agreement_by_condition,
-    behaviour_statistics,
-)
-from repro.analysis.correlation import correlation_heatmap
-from repro.analysis.rating import (
-    RatingCell,
-    anova_by_setting,
-    per_website_differences,
-    rating_means,
-)
+from repro.analysis.ab import AbShares
+from repro.analysis.agreement import ConditionAgreement
+from repro.analysis.correlation import CorrelationHeatmap
+from repro.analysis.rating import RatingCell, SettingAnova, WebsiteDifference
 from repro.analysis.power import (
     minimum_detectable_effect,
     paper_study_power,
@@ -56,16 +49,12 @@ from repro.analysis.streaming import (
 )
 
 __all__ = [
-    "ab_vote_shares",
     "AbShares",
-    "rating_means",
     "RatingCell",
-    "anova_by_setting",
-    "per_website_differences",
-    "agreement_by_condition",
+    "SettingAnova",
+    "WebsiteDifference",
     "ConditionAgreement",
-    "behaviour_statistics",
-    "correlation_heatmap",
+    "CorrelationHeatmap",
     "mean_confidence_interval",
     "mean_ci_from_stats",
     "is_normal",

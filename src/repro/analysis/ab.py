@@ -1,11 +1,12 @@
-"""Figure 4: A/B vote shares per protocol pair and network."""
+"""Figure 4: A/B vote shares per protocol pair and network.
+
+Computed from merged study partials by
+:func:`repro.study.pipeline.ab_vote_shares`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-from repro.study.ab import AbSession, AbTrial
 
 
 @dataclass
@@ -41,40 +42,3 @@ class AbShares:
         best = max(("a", self.votes_a), ("same", self.votes_same),
                    ("b", self.votes_b), key=lambda kv: kv[1])
         return best[0]
-
-
-def ab_vote_shares(
-    sessions: Sequence[AbSession],
-    websites: Optional[Iterable[str]] = None,
-) -> Dict[Tuple[str, str], AbShares]:
-    """Aggregate votes per (pair label, network) across all websites.
-
-    ``websites`` optionally restricts the aggregation (used for the
-    per-website drill-downs).
-    """
-    allowed = set(websites) if websites is not None else None
-    cells: Dict[Tuple[str, str], List[AbTrial]] = {}
-    for session in sessions:
-        for trial in session.trials:
-            condition = trial.condition
-            if allowed is not None and condition.website not in allowed:
-                continue
-            key = (condition.pair_label, condition.network)
-            cells.setdefault(key, []).append(trial)
-
-    shares: Dict[Tuple[str, str], AbShares] = {}
-    for (pair_label, network), trials in cells.items():
-        votes = {"a": 0, "same": 0, "b": 0}
-        replays = 0
-        for trial in trials:
-            votes[trial.vote] += 1
-            replays += trial.replays
-        shares[(pair_label, network)] = AbShares(
-            pair_label=pair_label,
-            network=network,
-            votes_a=votes["a"],
-            votes_same=votes["same"],
-            votes_b=votes["b"],
-            mean_replays=replays / len(trials) if trials else 0.0,
-        )
-    return shares

@@ -1,15 +1,15 @@
-"""Figure 3 (group agreement) and Section 4.2 behavioural statistics."""
+"""Figure 3: do the three subject groups agree?
+
+Computed from merged study partials by
+:func:`repro.study.pipeline.agreement_by_condition`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import fmean, median
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-from repro.analysis.stats import MeanCI, is_normal, mean_confidence_interval
-from repro.study.ab import AbSession
-from repro.study.rating import RatingSession
-from repro.study.session import Demographics
+from repro.analysis.stats import MeanCI
 
 
 @dataclass
@@ -33,80 +33,3 @@ class ConditionAgreement:
         if self.lab is None or self.internet_median is None:
             return None
         return self.lab.contains(self.internet_median)
-
-
-def agreement_by_condition(
-    lab_sessions: Sequence[RatingSession],
-    microworker_sessions: Sequence[RatingSession],
-    internet_sessions: Sequence[RatingSession],
-    which: str = "speed",
-    confidence: float = 0.99,
-) -> List[ConditionAgreement]:
-    """Figure 3: per lab-tested condition, lab/µWorker mean+CI vs Internet
-    median, ordered by the lab mean."""
-
-    def bucket(sessions: Sequence[RatingSession]) -> Dict[Tuple, List[float]]:
-        out: Dict[Tuple, List[float]] = {}
-        for session in sessions:
-            for trial in session.trials:
-                score = trial.speed_score if which == "speed" \
-                    else trial.quality_score
-                out.setdefault(trial.condition.key, []).append(score)
-        return out
-
-    lab_votes = bucket(lab_sessions)
-    mw_votes = bucket(microworker_sessions)
-    inet_votes = bucket(internet_sessions)
-
-    rows: List[ConditionAgreement] = []
-    for condition in sorted(lab_votes):
-        lab_ci = mean_confidence_interval(lab_votes[condition], confidence) \
-            if lab_votes.get(condition) else None
-        mw_ci = mean_confidence_interval(mw_votes[condition], confidence) \
-            if mw_votes.get(condition) else None
-        inet_med = median(inet_votes[condition]) \
-            if inet_votes.get(condition) else None
-        rows.append(ConditionAgreement(condition, lab_ci, mw_ci, inet_med))
-    rows.sort(key=lambda row: row.lab.mean if row.lab else 0.0)
-    return rows
-
-
-@dataclass
-class GroupBehaviourStats:
-    """Section 4.2 numbers for one group and study."""
-
-    group: str
-    study: str
-    sessions: int
-    mean_seconds_per_video: float
-    mean_replays: float
-    votes_normal: bool
-    demographics: Demographics
-
-
-def behaviour_statistics(
-    sessions: Sequence,
-    group: str,
-    study: str,
-) -> GroupBehaviourStats:
-    """Per-video time, replay behaviour, vote normality, demographics."""
-    if not sessions:
-        raise ValueError("no sessions to analyse")
-    per_video = [s.mean_trial_duration for s in sessions]
-    if study == "ab":
-        replays = [s.mean_replays for s in sessions]
-        votes: List[float] = [t.confidence for s in sessions
-                              for t in s.trials]
-    else:
-        replays = [fmean(t.replays for t in s.trials) if s.trials else 0.0
-                   for s in sessions]
-        votes = [t.speed_score for s in sessions for t in s.trials]
-    return GroupBehaviourStats(
-        group=group,
-        study=study,
-        sessions=len(sessions),
-        mean_seconds_per_video=fmean(per_video),
-        mean_replays=fmean(replays),
-        votes_normal=is_normal(votes),
-        demographics=Demographics.from_sessions(sessions),
-    )

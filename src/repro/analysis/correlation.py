@@ -5,18 +5,15 @@ the technical metrics by first calculating the mean vote for each website
 and combining it with the technical metric." High negative values mean
 the metric linearly tracks the users' experience; the paper finds SI
 best and PLT worst, with magnitudes growing as networks slow down.
+Computed from merged study partials by
+:func:`repro.study.pipeline.correlation_heatmap`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import fmean
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.analysis.stats import pearson_r
-from repro.browser.metrics import VisualMetrics
-from repro.study.rating import RatingSession
-from repro.testbed.harness import Testbed
+from typing import Dict, List, Optional, Tuple
 
 #: Row order of the Figure 6 heatmap.
 METRIC_ORDER = ("FVC", "SI", "VC85", "LVC", "PLT")
@@ -51,58 +48,3 @@ class CorrelationHeatmap:
         for (_, metric, _), r in self.values.items():
             sums.setdefault(metric, []).append(r)
         return {metric: fmean(rs) for metric, rs in sums.items()}
-
-
-def correlation_heatmap(
-    sessions: Sequence[RatingSession],
-    testbed: Testbed,
-    which: str = "speed",
-    contexts_for_network: Optional[Dict[str, str]] = None,
-) -> CorrelationHeatmap:
-    """Compute the Figure 6 heatmap from rating sessions.
-
-    For DSL/LTE the paper uses the free-time votes; plane networks only
-    appear in the plane context. ``contexts_for_network`` can override
-    that mapping.
-    """
-    if contexts_for_network is None:
-        contexts_for_network = {
-            "DSL": "free_time", "LTE": "free_time",
-            "DA2GC": "plane", "MSS": "plane",
-        }
-
-    votes: Dict[Tuple[str, str, str], List[float]] = {}
-    for session in sessions:
-        for trial in session.trials:
-            network = trial.condition.network
-            wanted = contexts_for_network.get(network)
-            if wanted is not None and trial.context != wanted:
-                continue
-            score = trial.speed_score if which == "speed" \
-                else trial.quality_score
-            votes.setdefault(trial.condition.key, []).append(score)
-
-    stacks = sorted({key[2] for key in votes})
-    networks = sorted({key[1] for key in votes})
-    values: Dict[Tuple[str, str, str], float] = {}
-    for stack in stacks:
-        for network in networks:
-            sites = sorted({key[0] for key in votes
-                            if key[1] == network and key[2] == stack})
-            if len(sites) < 2:
-                continue
-            mean_votes = [fmean(votes[(site, network, stack)])
-                          for site in sites]
-            for metric in METRIC_ORDER:
-                metric_values = [
-                    testbed.recording(site, network, stack)
-                    .selected_metrics[metric]
-                    for site in sites
-                ]
-                values[(stack, metric, network)] = pearson_r(
-                    metric_values, mean_votes)
-    return CorrelationHeatmap(
-        values=values,
-        stacks=tuple(stacks),
-        networks=tuple(networks),
-    )

@@ -1,29 +1,17 @@
-"""Figure 5 and Section 4.4: rating means, ANOVA and per-site effects."""
+"""Figure 5 and Section 4.4: rating means, ANOVA and per-site effects.
+
+Computed from the rating moments of merged study partials by
+:func:`repro.study.pipeline.rating_means`,
+:func:`~repro.study.pipeline.anova_by_setting` and
+:func:`~repro.study.pipeline.per_website_differences`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional
 
-from repro.analysis.stats import (
-    AnovaResult,
-    MeanCI,
-    anova_oneway,
-    mean_confidence_interval,
-    welch_ttest_p,
-)
-from repro.study.design import CONTEXTS
-from repro.study.rating import RatingSession, RatingTrial
-
-Score = str  # "speed" or "quality"
-
-
-def _score(trial: RatingTrial, which: Score) -> float:
-    if which == "speed":
-        return trial.speed_score
-    if which == "quality":
-        return trial.quality_score
-    raise KeyError(f"unknown score {which!r}")
+from repro.analysis.stats import AnovaResult, MeanCI
 
 
 @dataclass
@@ -40,29 +28,6 @@ class RatingCell:
         return self.ci.mean
 
 
-def rating_means(
-    sessions: Sequence[RatingSession],
-    which: Score = "speed",
-    confidence: float = 0.99,
-) -> List[RatingCell]:
-    """Mean vote + CI per (context, network, stack) — the Figure 5 bars."""
-    buckets: Dict[Tuple[str, str, str], List[float]] = {}
-    for session in sessions:
-        for trial in session.trials:
-            key = (trial.context, trial.condition.network,
-                   trial.condition.stack)
-            buckets.setdefault(key, []).append(_score(trial, which))
-    cells = []
-    for (context, network, stack), values in sorted(buckets.items()):
-        cells.append(RatingCell(
-            context=context,
-            network=network,
-            stack=stack,
-            ci=mean_confidence_interval(values, confidence),
-        ))
-    return cells
-
-
 @dataclass
 class SettingAnova:
     """ANOVA across stacks within one (context, network) setting."""
@@ -75,33 +40,6 @@ class SettingAnova:
         return self.result is not None and self.result.significant(alpha)
 
 
-def anova_by_setting(
-    sessions: Sequence[RatingSession],
-    which: Score = "speed",
-) -> List[SettingAnova]:
-    """Per-setting one-way ANOVA over the protocol stacks.
-
-    The paper: "using a significance level of 99% ... we do not find any
-    significant protocol/network configuration"; at 90% three settings
-    differ.
-    """
-    buckets: Dict[Tuple[str, str], Dict[str, List[float]]] = {}
-    for session in sessions:
-        for trial in session.trials:
-            setting = (trial.context, trial.condition.network)
-            stacks = buckets.setdefault(setting, {})
-            stacks.setdefault(trial.condition.stack, []).append(
-                _score(trial, which))
-    out = []
-    for (context, network), stacks in sorted(buckets.items()):
-        out.append(SettingAnova(
-            context=context,
-            network=network,
-            result=anova_oneway(list(stacks.values())),
-        ))
-    return out
-
-
 @dataclass
 class WebsiteDifference:
     """One significant per-website stack difference (Section 4.4)."""
@@ -112,54 +50,3 @@ class WebsiteDifference:
     slower_stack: str
     mean_difference: float
     p_value: float
-
-
-def per_website_differences(
-    sessions: Sequence[RatingSession],
-    which: Score = "speed",
-    alpha: float = 0.10,
-    stack_pairs: Optional[Sequence[Tuple[str, str]]] = None,
-) -> List[WebsiteDifference]:
-    """Websites where one stack is rated significantly better.
-
-    Mirrors the Section 4.4 drill-down: pairwise Welch tests per website
-    and network over the Table 1 comparison pairs.
-    """
-    if stack_pairs is None:
-        stack_pairs = (
-            ("QUIC", "TCP"), ("QUIC", "TCP+"), ("TCP+", "TCP"),
-            ("QUIC+BBR", "TCP+BBR"),
-        )
-    buckets: Dict[Tuple[str, str, str], List[float]] = {}
-    for session in sessions:
-        for trial in session.trials:
-            key = (trial.condition.website, trial.condition.network,
-                   trial.condition.stack)
-            buckets.setdefault(key, []).append(_score(trial, which))
-
-    sites = sorted({k[0] for k in buckets})
-    networks = sorted({k[1] for k in buckets})
-    differences: List[WebsiteDifference] = []
-    for website in sites:
-        for network in networks:
-            for stack_x, stack_y in stack_pairs:
-                votes_x = buckets.get((website, network, stack_x))
-                votes_y = buckets.get((website, network, stack_y))
-                if not votes_x or not votes_y:
-                    continue
-                p = welch_ttest_p(votes_x, votes_y)
-                if p >= alpha:
-                    continue
-                mean_x = sum(votes_x) / len(votes_x)
-                mean_y = sum(votes_y) / len(votes_y)
-                faster, slower = (stack_x, stack_y) if mean_x > mean_y \
-                    else (stack_y, stack_x)
-                differences.append(WebsiteDifference(
-                    website=website,
-                    network=network,
-                    faster_stack=faster,
-                    slower_stack=slower,
-                    mean_difference=abs(mean_x - mean_y),
-                    p_value=p,
-                ))
-    return differences

@@ -65,6 +65,33 @@ PARTICIPATION: Dict[str, Dict[str, int]] = {
     "internet": {"ab": 218, "rating": 209},
 }
 
+#: The three subject groups, in Table 3 order.
+GROUP_ORDER = ("lab", "microworker", "internet")
+
+#: The paper's Table 3 reference values, for side-by-side reports.
+PAPER_TABLE3: Dict[Tuple[str, str], List[int]] = {
+    ("lab", "ab"): [35, 35, 35, 35, 35, 35, 35, 35],
+    ("lab", "rating"): [35, 35, 35, 35, 35, 35, 35, 35],
+    ("microworker", "ab"): [487, 471, 441, 355, 268, 268, 239, 233],
+    ("microworker", "rating"): [1563, 1494, 1321, 1034, 733, 723, 661, 614],
+    ("internet", "ab"): [218, 217, 210, 196, 171, 170, 159, 155],
+    ("internet", "rating"): [209, 204, 194, 172, 152, 151, 140, 138],
+}
+
+
+def scaled_participants(count: int, scale: float, group: str) -> int:
+    """Scaled participation for one group.
+
+    Only the supervised lab group is floored at 10 participants (its
+    confidence intervals must stay meaningful); µWorker and Internet
+    smoke campaigns scale all the way down, so a tiny ``scale`` no
+    longer silently inflates their funnels.
+    """
+    scaled = max(1, int(round(count * scale)))
+    if group == "lab":
+        return max(10, scaled)
+    return scaled
+
 
 @dataclass(frozen=True)
 class AbCondition:

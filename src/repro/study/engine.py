@@ -24,7 +24,8 @@ A/B draw contract per block (``n`` participants × ``V`` videos):
 7. rusher answers, confidences and durations
 8. replays — one Poisson draw with per-trial rates
 9. decision-time noise — ``N(0, 0.35)``
-10. event-log draws — last, so aggregation-only consumers can skip them
+10. event-log draws — last, and only with ``with_events=True`` (the
+    R1-R7 event-log reference); every other consumer skips them
 
 The rating contract is analogous (per-context permutations; two vote-noise
 blocks; rusher score blocks). All branch thresholds that involve
@@ -51,7 +52,6 @@ from repro.study.design import (
 )
 from repro.study.participants import (
     GROUPS,
-    GroupBehavior,
     TraitBlock,
     draw_trait_block,
 )
@@ -139,23 +139,6 @@ def condition_stats(summary) -> ConditionStats:
     )
 
 
-class TestbedLookup:
-    """Adapter: ``(website, network, stack) -> ConditionStats`` from a
-    live :class:`~repro.testbed.harness.Testbed`."""
-
-    def __init__(self, testbed):
-        self._testbed = testbed
-        self._cache: Dict[Tuple[str, str, str], ConditionStats] = {}
-
-    def __call__(self, website: str, network: str,
-                 stack: str) -> ConditionStats:
-        key = (website, network, stack)
-        if key not in self._cache:
-            self._cache[key] = condition_stats(
-                self._testbed.recording(website, network, stack))
-        return self._cache[key]
-
-
 def study_entropy(seed: int, study: str, group: str) -> int:
     """Root entropy of one (study, group) block tree."""
     return int(spawn_rng(seed, study, group).integers(2 ** 31))
@@ -231,7 +214,7 @@ class AbDraws:
 
 @dataclass(slots=True)
 class AbBlock:
-    """One computed A/B block: everything a session or aggregate needs."""
+    """One computed A/B block: everything a row or aggregate needs."""
 
     start: int
     traits: TraitBlock
@@ -293,7 +276,7 @@ class AbEngine:
                     / (1.0 + 2.0 * self.magnitude)) * fast_bonus
 
     def draw(self, rng: np.random.Generator, start: int, size: int,
-             with_events: bool = True) -> AbDraws:
+             with_events: bool = False) -> AbDraws:
         """Draw one block following the contract (see module docstring)."""
         shape = (size, self.videos)
         traits = draw_trait_block(rng, self.behavior, size)
@@ -327,7 +310,7 @@ class AbEngine:
         participants: int,
         seed: int,
         shard: Tuple[int, int] = (0, 1),
-        with_events: bool = True,
+        with_events: bool = False,
         compute: Optional[Callable[[AbDraws, "AbEngine"], AbBlock]] = None,
     ) -> Iterator[AbBlock]:
         """Yield computed blocks of this study, in participant order."""
@@ -516,7 +499,7 @@ class RatingEngine:
         self.videos = sum(table.take for table in self.tables)
 
     def draw(self, rng: np.random.Generator, start: int, size: int,
-             with_events: bool = True) -> RatingDraws:
+             with_events: bool = False) -> RatingDraws:
         """Draw one block following the contract (see module docstring)."""
         shape = (size, self.videos)
         traits = draw_trait_block(rng, self.behavior, size)
@@ -553,7 +536,7 @@ class RatingEngine:
         participants: int,
         seed: int,
         shard: Tuple[int, int] = (0, 1),
-        with_events: bool = True,
+        with_events: bool = False,
         compute: Optional[Callable[["RatingDraws", "RatingEngine"],
                                    RatingBlock]] = None,
     ) -> Iterator[RatingBlock]:

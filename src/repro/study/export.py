@@ -1,9 +1,11 @@
-"""Study-data release: CSV export of sessions and votes.
+"""Study-data release: CSV export of votes, participants and conditions.
 
 The paper publishes its anonymised study data (https://study.netray.io);
-this module produces the equivalent release for a simulated campaign —
-one CSV per study with one row per vote, plus a participants table and a
-conditions table with the technical metrics of every shown video.
+this module produces the equivalent release for a simulated study from
+its rows (:mod:`repro.study.rows`) — one CSV per group and study with
+one row per vote of the surviving sessions, a participants table with
+every entrant's filter verdict, and a conditions table with the
+technical metrics of every shown video.
 """
 
 from __future__ import annotations
@@ -11,11 +13,12 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
-from repro.study.ab import AbSession
-from repro.study.rating import RatingSession
-from repro.testbed.harness import Testbed
+import numpy as np
+
+from repro.study.pipeline import ConditionIndex
+from repro.study.rows import StudyRows
 
 AB_VOTE_FIELDS = [
     "participant", "group", "website", "network", "stack_a", "stack_b",
@@ -36,6 +39,11 @@ CONDITION_FIELDS = [
     "video_duration_s",
 ]
 
+#: Screen-coordinate answers and condition-coordinate votes, indexed by
+#: the engine's answer and vote codes.
+ANSWER_NAMES = ("left", "right", "same")
+VOTE_NAMES = ("a", "same", "b")
+
 
 def _write_csv(fields: Sequence[str], rows: Iterable[Dict[str, object]]) -> str:
     buffer = io.StringIO()
@@ -46,97 +54,95 @@ def _write_csv(fields: Sequence[str], rows: Iterable[Dict[str, object]]) -> str:
     return buffer.getvalue()
 
 
-def ab_votes_csv(sessions: Sequence[AbSession]) -> str:
-    """One row per A/B vote."""
-    rows = []
-    for session in sessions:
-        for trial in session.trials:
-            condition = trial.condition
-            rows.append({
-                "participant": session.participant_id,
-                "group": session.group,
-                "website": condition.website,
-                "network": condition.network,
-                "stack_a": condition.stack_a,
-                "stack_b": condition.stack_b,
-                "left_is_a": int(trial.left_is_a),
-                "answer": trial.answer,
-                "vote": trial.vote,
-                "confidence": round(trial.confidence, 4),
-                "replays": trial.replays,
-                "duration_s": round(trial.duration_s, 3),
-            })
-    return _write_csv(AB_VOTE_FIELDS, rows)
+def _votes(rows: StudyRows) -> Iterator[Tuple[Dict[str, object], int,
+                                              Tuple[int, int]]]:
+    """Every surviving vote: its leading columns, its condition index
+    and its ``(row, column)`` cell in the trial arrays."""
+    indices = rows.trials["indices"].tolist()
+    for i, participant in enumerate(rows.kept.tolist()):
+        for j, index in enumerate(indices[i]):
+            condition = rows.conditions[index]
+            yield ({"participant": participant, "group": rows.group,
+                    "website": condition.website,
+                    "network": condition.network}, index, (i, j))
 
 
-def rating_votes_csv(sessions: Sequence[RatingSession]) -> str:
-    """One row per rating vote."""
-    rows = []
-    for session in sessions:
-        for trial in session.trials:
-            condition = trial.condition
-            rows.append({
-                "participant": session.participant_id,
-                "group": session.group,
-                "website": condition.website,
-                "network": condition.network,
-                "stack": condition.stack,
-                "context": trial.context,
-                "speed_score": trial.speed_score,
-                "quality_score": trial.quality_score,
-                "replays": trial.replays,
-                "duration_s": round(trial.duration_s, 3),
-            })
-    return _write_csv(RATING_VOTE_FIELDS, rows)
-
-
-def participants_csv(all_sessions: Sequence, valid_sessions: Sequence,
-                     study: str) -> str:
-    """One row per participant with their filter verdict."""
-    valid_ids = {(s.group, s.participant_id) for s in valid_sessions}
-    rows = []
-    for session in all_sessions:
-        rows.append({
-            "participant": session.participant_id,
-            "group": session.group,
-            "study": study,
-            "gender": session.gender,
-            "age_group": session.age_group,
-            "valid": int((session.group, session.participant_id)
-                         in valid_ids),
+def ab_votes_csv(rows: StudyRows) -> str:
+    """One row per A/B vote of the surviving sessions."""
+    trials = rows.trials
+    out = []
+    for row, index, cell in _votes(rows):
+        row.update({
+            "stack_a": rows.conditions[index].stack_a,
+            "stack_b": rows.conditions[index].stack_b,
+            "left_is_a": int(trials["left_is_a"][cell]),
+            "answer": ANSWER_NAMES[trials["answers"][cell]],
+            "vote": VOTE_NAMES[trials["votes"][cell]],
+            "confidence": round(float(trials["confidence"][cell]), 4),
+            "replays": int(trials["replays"][cell]),
+            "duration_s": round(float(trials["durations"][cell]), 3),
         })
-    return _write_csv(PARTICIPANT_FIELDS, rows)
+        out.append(row)
+    return _write_csv(AB_VOTE_FIELDS, out)
 
 
-def conditions_csv(testbed: Testbed,
-                   conditions: Iterable) -> str:
+def rating_votes_csv(rows: StudyRows) -> str:
+    """One row per rating vote of the surviving sessions."""
+    trials = rows.trials
+    out = []
+    for row, index, cell in _votes(rows):
+        row.update({
+            "stack": rows.conditions[index].stack,
+            "context": rows.contexts[index],
+            "speed_score": float(trials["speed"][cell]),
+            "quality_score": float(trials["quality"][cell]),
+            "replays": int(trials["replays"][cell]),
+            "duration_s": round(float(trials["durations"][cell]), 3),
+        })
+        out.append(row)
+    return _write_csv(RATING_VOTE_FIELDS, out)
+
+
+def participants_csv(rows: StudyRows) -> str:
+    """One row per entrant with their filter verdict."""
+    return _write_csv(PARTICIPANT_FIELDS, (
+        {"participant": participant, "group": rows.group,
+         "study": rows.study, "gender": "male" if male else "female",
+         "age_group": age_group, "valid": int(valid)}
+        for participant, male, age_group, valid in zip(
+            rows.participant.tolist(), rows.male.tolist(), rows.age_group,
+            rows.valid.tolist())))
+
+
+def conditions_csv(index: ConditionIndex,
+                   conditions: Iterable[Tuple[str, str, str]]) -> str:
     """Technical metrics of every shown condition."""
-    rows = []
+    out = []
     for website, network, stack in conditions:
-        recording = testbed.recording(website, network, stack)
-        metrics = recording.selected_metrics
-        rows.append({
+        stats = index.lookup(website, network, stack)
+        out.append({
             "website": website,
             "network": network,
             "stack": stack,
-            "FVC": round(metrics["FVC"], 4),
-            "SI": round(metrics["SI"], 4),
-            "VC85": round(metrics["VC85"], 4),
-            "LVC": round(metrics["LVC"], 4),
-            "PLT": round(metrics["PLT"], 4),
-            "video_duration_s": round(recording.video_duration, 3),
+            "FVC": round(stats.fvc, 4),
+            "SI": round(stats.si, 4),
+            "VC85": round(stats.vc85, 4),
+            "LVC": round(stats.lvc, 4),
+            "PLT": round(stats.plt, 4),
+            "video_duration_s": round(stats.video_duration, 3),
         })
-    return _write_csv(CONDITION_FIELDS, rows)
+    return _write_csv(CONDITION_FIELDS, out)
 
 
-def export_campaign(campaign, testbed: Testbed,
-                    directory: Union[str, Path]) -> List[Path]:
-    """Write the full data release of a campaign; returns written paths.
+def export_rows(rows: Iterable[StudyRows], index: ConditionIndex,
+                directory: Union[str, Path]) -> List[Path]:
+    """Write the data release of a study; returns the written paths.
 
-    Produces, per group: ``ab_votes_<group>.csv`` and
-    ``rating_votes_<group>.csv`` (filtered sessions only, like the
-    published data) and ``participants_<group>_<study>.csv`` (all
-    entrants with their filter verdict), plus one ``conditions.csv``.
+    Per group and study (in the order of ``rows``):
+    ``<study>_votes_<group>.csv`` (surviving sessions only, like the
+    published data) and ``participants_<group>_<study>.csv`` (every
+    entrant with their filter verdict); then one ``conditions.csv``
+    over every condition a surviving session saw.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -148,24 +154,15 @@ def export_campaign(campaign, testbed: Testbed,
         written.append(path)
 
     shown = set()
-    for group, result in campaign.ab.items():
-        kept = campaign.ab_filtered[group]
-        emit(f"ab_votes_{group}.csv", ab_votes_csv(kept))
-        emit(f"participants_{group}_ab.csv",
-             participants_csv(result.sessions, kept, "ab"))
-        for session in kept:
-            for trial in session.trials:
-                c = trial.condition
-                shown.add((c.website, c.network, c.stack_a))
-                shown.add((c.website, c.network, c.stack_b))
-    for group, result in campaign.rating.items():
-        kept = campaign.rating_filtered[group]
-        emit(f"rating_votes_{group}.csv", rating_votes_csv(kept))
-        emit(f"participants_{group}_rating.csv",
-             participants_csv(result.sessions, kept, "rating"))
-        for session in kept:
-            for trial in session.trials:
-                c = trial.condition
-                shown.add((c.website, c.network, c.stack))
-    emit("conditions.csv", conditions_csv(testbed, sorted(shown)))
+    for part in rows:
+        votes_csv = ab_votes_csv if part.study == "ab" else rating_votes_csv
+        emit(f"{part.study}_votes_{part.group}.csv", votes_csv(part))
+        emit(f"participants_{part.group}_{part.study}.csv",
+             participants_csv(part))
+        for pool_index in np.unique(part.trials["indices"]).tolist():
+            c = part.conditions[pool_index]
+            stacks = (c.stack_a, c.stack_b) if part.study == "ab" \
+                else (c.stack,)
+            shown.update((c.website, c.network, stack) for stack in stacks)
+    emit("conditions.csv", conditions_csv(index, sorted(shown)))
     return written

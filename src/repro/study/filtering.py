@@ -99,10 +99,12 @@ class FilterFunnel:
 
 def apply_filters(sessions: Sequence, group: str = "",
                   study: str = "") -> Tuple[List, FilterFunnel]:
-    """Filter sessions with R1-R7 in order.
+    """Filter sessions with R1-R7 in order, from their event logs.
 
     ``sessions`` must expose an ``events`` attribute. Returns the
     surviving sessions and the funnel with per-rule survivor counts.
+    This is the rules' reference form; the study pipeline uses
+    :func:`funnel_from_flags`, which tests pin to it.
     """
     funnel = FilterFunnel(group=group, study=study, initial=len(sessions))
     survivors = list(sessions)
@@ -120,8 +122,7 @@ def funnel_from_flags(flags: np.ndarray, group: str = "",
     exactly when violation flag ``i`` of the plan is set (see
     :func:`repro.study.session.events_from_draws`), so the funnel is a
     pure function of the flags. Returns the survivor mask and the
-    funnel; used by the streaming pipeline, which never materializes
-    session objects.
+    funnel.
     """
     if flags.shape[0] != len(FILTER_RULES):
         raise ValueError(

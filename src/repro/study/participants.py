@@ -179,33 +179,6 @@ class Participant:
         lam = self.group.replay_rate * difficulty * fast_bonus
         return int(self.rng.poisson(lam))
 
-    @classmethod
-    def from_traits(
-        cls,
-        participant_id: int,
-        group: GroupBehavior,
-        jnd_threshold: float,
-        rating_bias: float,
-        diligence: float,
-        gender: str,
-        age_group: str,
-    ) -> "Participant":
-        """Construct from pre-drawn traits (the vectorized engine path).
-
-        The returned participant carries no RNG: all of its stochastic
-        behaviour was already realised as block draws.
-        """
-        participant = object.__new__(cls)
-        participant.participant_id = participant_id
-        participant.group = group
-        participant.rng = None
-        participant.jnd_threshold = float(jnd_threshold)
-        participant.rating_bias = float(rating_bias)
-        participant.diligence = float(diligence)
-        participant.gender = gender
-        participant.age_group = age_group
-        return participant
-
 
 @dataclass(slots=True)
 class TraitBlock:
@@ -227,19 +200,6 @@ class TraitBlock:
     @property
     def size(self) -> int:
         return int(self.jnd_threshold.size)
-
-    def participant(self, start: int, row: int,
-                    group: GroupBehavior) -> Participant:
-        """Materialize one row as a :class:`Participant`."""
-        return Participant.from_traits(
-            participant_id=start + row,
-            group=group,
-            jnd_threshold=self.jnd_threshold[row],
-            rating_bias=self.rating_bias[row],
-            diligence=self.diligence[row],
-            gender="male" if self.male[row] else "female",
-            age_group=self.age_names[int(self.age_index[row])],
-        )
 
 
 def draw_trait_block(rng: np.random.Generator, group: GroupBehavior,

@@ -1,48 +1,77 @@
-"""Streaming study pipeline: population-scale perception aggregation.
+"""Study pipeline: engine blocks -> mergeable partials -> paper artifacts.
 
-The classic entry point (:func:`repro.study.simulate.run_campaign`)
-needs a live :class:`~repro.testbed.harness.Testbed` and materializes
-every session object. This module decouples the studies from the
-testbed and from session materialization:
+The one production path of the two user studies, decoupled from the
+testbed and from per-participant objects:
 
 * :class:`ConditionIndex` reduces ``(ConditionKey, RecordingSummary)``
-  pairs — from a live campaign's ``summary_store()`` or post-hoc from a
-  campaign directory — to the few per-condition floats the perception
-  models consume (:class:`~repro.study.engine.ConditionStats`).
-* :func:`build_partial` runs the vectorized engines in aggregate mode
-  (no events, no sessions) over a participant-block shard and folds the
-  outcome into a :class:`StudyPartial`: Table 3 funnels, A/B vote
-  counts, rating moments (Welford) and integer score histograms — all
-  exactly mergeable, so study work rides the same lease/partial
-  protocol as distributed campaign workers (``repro study
-  --campaign-dir DIR --shard I:K``).
-* :func:`build_report` renders the merged partials as the paper's
-  Table 3 funnel and Figure 3-6 aggregates; :class:`StudyIndex` warms
-  per-condition lookups for the ``repro study --serve`` query protocol.
+  pairs — from a live testbed or campaign, or post-hoc from a campaign
+  directory — to the few per-condition floats the perception models
+  consume (:class:`~repro.study.engine.ConditionStats`).
+* :func:`build_partial` runs the vectorized engines over a
+  participant-block shard and folds the outcome into a
+  :class:`StudyPartial`: Table 3 funnels, A/B vote counts, rating
+  moments (Welford) and integer score histograms — all exactly
+  mergeable, so study work rides the same lease/partial protocol as
+  distributed campaign workers (``repro study --campaign-dir DIR
+  --shard I:K``).
+* The figure functions (:func:`ab_vote_shares`, :func:`rating_means`,
+  :func:`anova_by_setting`, :func:`per_website_differences`,
+  :func:`agreement_by_condition`, :func:`correlation_heatmap`) compute
+  Figures 3-6, the Figure 5 ANOVA and Section 4.4 from a merged
+  partial; :func:`build_report` renders Table 3 and Figures 3-6, and
+  :class:`StudyIndex` warms per-condition lookups for the ``repro study
+  --serve`` query protocol.
+
+The artifacts that need individual rows (Section 4.2, vote
+distributions, the CSV data release) read the same blocks through
+:mod:`repro.study.rows`.
 
 Sharding is by participant block (:data:`~repro.study.engine.STUDY_BLOCK`
 columns): shard ``(i, k)`` processes exactly the blocks ``b`` with
 ``b % k == i``, and each block draws from its own RNG-tree stream — so
 any partition of the shards merges to the same totals as one sequential
-pass (counts exactly; Welford means to float merge order).
+pass (counts exactly; Welford means to float merge order). Partials
+whose shards share a block refuse to merge.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
-# Analysis imports are limited to the streaming primitives here; the
-# figure dataclasses (AbShares, RatingCell, ...) are imported inside
-# build_report/_build_heatmap because their modules import the study
-# session types, which would cycle at package-import time.
-from repro.analysis.streaming import CountTable, StreamingMoments
-from repro.study.design import SCALE_MAX, SCALE_MIN, StudyPlan
+from repro.analysis.ab import AbShares
+from repro.analysis.agreement import ConditionAgreement
+from repro.analysis.correlation import METRIC_ORDER, CorrelationHeatmap
+from repro.analysis.rating import RatingCell, SettingAnova, WebsiteDifference
+from repro.analysis.stats import pearson_r
+from repro.analysis.streaming import (
+    CountTable,
+    StreamingMoments,
+    anova_from_moments,
+)
+from repro.study.design import (
+    GROUP_ORDER,
+    PAPER_TABLE3,
+    SCALE_MAX,
+    SCALE_MIN,
+    StudyPlan,
+    scaled_participants,
+)
 from repro.study.engine import (
     STUDY_BLOCK,
     AbEngine,
@@ -54,7 +83,6 @@ from repro.study.engine import (
 from repro.study.filtering import FILTER_RULES, FilterFunnel, funnel_from_flags
 from repro.study.participants import GROUPS
 from repro.study.perception import DEFAULT_PARAMS, PerceptionParams
-from repro.study.simulate import GROUP_ORDER, PAPER_TABLE3, scaled_participants
 
 #: Width of the integer score histograms (scores 10..70, granularity 1).
 SCORE_BINS = SCALE_MAX - SCALE_MIN + 1
@@ -196,6 +224,49 @@ def _moments_from_sums(count: int, total: float,
     return StreamingMoments(count=count, mean=mean, m2=m2)
 
 
+#: JSON shape of :meth:`StudyPartial.to_state`: a type is a leaf, a
+#: one-element list is "list of", ``{str: shape}`` is a string-keyed
+#: mapping and any other dict lists required fields.
+_MOMENTS_SHAPE = {"count": int, "mean": float, "m2": float}
+_TABLE_SHAPE = {"width": int, "rows": {str: [int]}}
+_STATE_SHAPE = {
+    "sim_behaviour": int,
+    "config": {
+        "seed": int, "participants_scale": float, "block_size": int,
+        "groups": [str], "params": str,
+        "plan": {"sites": [str], "networks": [str], "stacks": [str],
+                 "pairs": [[str]]},
+    },
+    "shards": [[int]],
+    "funnels": _TABLE_SHAPE,
+    "ab_votes": _TABLE_SHAPE,
+    "histograms": _TABLE_SHAPE,
+    "rating": [{"key": str, "speed": _MOMENTS_SHAPE,
+                "quality": _MOMENTS_SHAPE}],
+}
+
+
+def _check_shape(value: object, shape: object, where: str) -> None:
+    """Raise ``ValueError`` naming the first field off ``shape``."""
+    expected = shape if isinstance(shape, type) else type(shape)
+    if type(value) is not expected:
+        raise ValueError(
+            f"study partial field {where} must be {expected.__name__}, "
+            f"got {type(value).__name__}")
+    if isinstance(shape, list):
+        for position, item in enumerate(value):
+            _check_shape(item, shape[0], f"{where}[{position}]")
+    elif isinstance(shape, dict) and str in shape:
+        for key, item in value.items():
+            _check_shape(item, shape[str], f"{where}.{key}")
+    elif isinstance(shape, dict):
+        for name, field_shape in shape.items():
+            if name not in value:
+                raise ValueError(
+                    f"study partial is missing field {where}.{name}")
+            _check_shape(value[name], field_shape, f"{where}.{name}")
+
+
 @dataclass
 class StudyPartial:
     """One shard's mergeable study aggregation.
@@ -231,15 +302,26 @@ class StudyPartial:
         return cell
 
     def merge(self, other: "StudyPartial") -> "StudyPartial":
-        """Fold another shard into this one (returns self)."""
+        """Fold another shard into this one (returns self).
+
+        Raises ``ValueError`` on a different config, or when the two
+        cover a common block: shards ``(i, k)`` and ``(j, l)`` share
+        block ``b`` iff ``b ≡ i (mod k)`` and ``b ≡ j (mod l)`` has a
+        solution, i.e. iff ``i ≡ j (mod gcd(k, l))``. Merging those
+        would count the common blocks twice.
+        """
         if other.config != self.config:
             raise ValueError(
                 "cannot merge study partials with different configs: "
                 f"{self.config!r} vs {other.config!r}")
-        self.shards = sorted(
-            {tuple(s) for s in self.shards}
-            | {tuple(s) for s in other.shards})
-        self.shards = [list(s) for s in self.shards]
+        for i, k in self.shards:
+            for j, l in other.shards:
+                if (i - j) % math.gcd(k, l) == 0:
+                    raise ValueError(
+                        f"study shards {i}:{k} and {j}:{l} overlap; "
+                        f"merging them would count shared participant "
+                        f"blocks twice")
+        self.shards = sorted(self.shards + other.shards)
         self.funnels.merge(other.funnels)
         self.ab_votes.merge(other.ab_votes)
         self.histograms.merge(other.histograms)
@@ -281,18 +363,27 @@ class StudyPartial:
 
     @classmethod
     def from_state(cls, state: Dict[str, object]) -> "StudyPartial":
+        """Rebuild a partial; ``ValueError`` names any malformed field."""
         if state.get("kind") != "study-partial":
             raise ValueError(
                 f"not a study partial (kind={state.get('kind')!r})")
+        if state.get("version") != 1:
+            raise ValueError(f"unsupported study partial version "
+                             f"{state.get('version')!r} (expected 1)")
+        _check_shape(state, _STATE_SHAPE, "state")
+        for shard in state["shards"]:
+            if len(shard) != 2 or not 0 <= shard[0] < shard[1]:
+                raise ValueError(f"study partial shard {shard!r} is not "
+                                 f"[index, step] with 0 <= index < step")
         partial = cls(
             config=dict(state["config"]),
-            shards=[list(s) for s in state.get("shards", [])],
+            shards=[list(shard) for shard in state["shards"]],
             funnels=CountTable.from_json(state["funnels"]),
             ab_votes=CountTable.from_json(state["ab_votes"]),
             histograms=CountTable.from_json(state["histograms"]),
         )
-        for entry in state.get("rating", []):
-            partial.rating[str(entry["key"])] = {
+        for entry in state["rating"]:
+            partial.rating[entry["key"]] = {
                 "speed": StreamingMoments.from_json(entry["speed"]),
                 "quality": StreamingMoments.from_json(entry["quality"]),
             }
@@ -326,7 +417,7 @@ class StudyPartial:
                 f"study partial {path} failed its checksum")
         recorded = state.get("sim_behaviour")
         if check_behaviour and recorded is not None and \
-                int(recorded) != SIM_BEHAVIOUR_VERSION:
+                recorded != SIM_BEHAVIOUR_VERSION:
             raise StaleCampaignError(
                 f"study partial {path} was recorded under "
                 f"SIM_BEHAVIOUR_VERSION={recorded}, but the current "
@@ -370,10 +461,9 @@ def build_partial(
 ) -> StudyPartial:
     """Aggregate one participant-block shard of both studies.
 
-    Runs the vectorized engines with event draws skipped (the funnel is
-    a pure function of the violation flags) and never materializes a
-    session object; memory stays O(conditions), independent of the
-    participant count.
+    Runs the vectorized engines (without event draws: the funnel is a
+    pure function of the violation flags) and keeps only aggregates;
+    memory stays O(conditions), independent of the participant count.
     """
     if participants_scale <= 0:
         raise ValueError("participants_scale must be positive")
@@ -416,8 +506,7 @@ def _accumulate_ab(
     replay_sums = np.zeros(len(pool), dtype=np.int64)
     saw_any = False
 
-    for block in engine.blocks(participants, seed, shard=shard,
-                               with_events=False):
+    for block in engine.blocks(participants, seed, shard=shard):
         alive, funnel = funnel_from_flags(block.flags, group, "ab")
         partial.funnels.add_vector(funnel_key, funnel.as_row())
         if not alive.any():
@@ -473,8 +562,7 @@ def _accumulate_rating(
     hist = [np.zeros((len(table.pool), SCORE_BINS), dtype=np.int64)
             for table in engine.tables] if group == "internet" else None
 
-    for block in engine.blocks(participants, seed, shard=shard,
-                               with_events=False):
+    for block in engine.blocks(participants, seed, shard=shard):
         alive, funnel = funnel_from_flags(block.flags, group, "rating")
         partial.funnels.add_vector(funnel_key, funnel.as_row())
         if not alive.any():
@@ -598,103 +686,180 @@ def build_report(partial: StudyPartial,
     ``index`` supplies the technical metrics for the Figure 6
     correlation heatmap; without it the heatmap is omitted.
     """
-    from repro.analysis.ab import AbShares
-    from repro.analysis.agreement import ConditionAgreement
-    from repro.analysis.rating import RatingCell
-
     funnels: List[FilterFunnel] = []
     for group in partial.config.get("groups", GROUP_ORDER):
         for study in ("ab", "rating"):
             funnel = partial.funnel(str(group), study)
             if funnel is not None:
                 funnels.append(funnel)
+    return StudyReport(
+        funnels=funnels,
+        ab_shares=ab_vote_shares(partial),
+        rating_cells=rating_means(partial, confidence=confidence),
+        agreement=agreement_by_condition(partial, confidence),
+        heatmap=correlation_heatmap(partial, index)
+        if index is not None else None,
+    )
 
-    # Figure 4: microworker vote shares per (pair, network), summed
-    # across websites — the same aggregation as ``ab_vote_shares``.
-    shares_raw: Dict[Tuple[str, str], List[int]] = {}
-    for key, counts in partial.ab_votes.items():
-        group, _, network, stack_a, stack_b = key.split(_SEP)
-        if group != "microworker":
+
+#: Fields of a rating-cell key, in key order.
+_RATING_FIELDS = ("group", "context", "website", "network", "stack")
+
+
+def rating_moments(
+    partial: StudyPartial,
+    group: str,
+    by: Sequence[str],
+    which: str = "speed",
+    where: Optional[Callable[[Dict[str, str]], bool]] = None,
+) -> Dict[Tuple[str, ...], StreamingMoments]:
+    """One group's ``which``-score moments, merged down to ``by`` fields.
+
+    Cells merge in partial order, so every figure sees the same floats
+    however it groups them. ``where`` filters cells by their key fields.
+    """
+    if which not in ("speed", "quality"):
+        raise KeyError(f"unknown score {which!r}")
+    merged: Dict[Tuple[str, ...], StreamingMoments] = {}
+    for key, cell in partial.rating.items():
+        fields = dict(zip(_RATING_FIELDS, key.split(_SEP)))
+        if fields["group"] != group or (where and not where(fields)):
             continue
-        cell = shares_raw.setdefault(
-            (f"{stack_a} vs. {stack_b}", network), [0, 0, 0, 0])
+        merged.setdefault(tuple(fields[name] for name in by),
+                          StreamingMoments()).merge(cell[which].copy())
+    return merged
+
+
+def ab_vote_shares(partial: StudyPartial, group: str = "microworker"
+                   ) -> Dict[Tuple[str, str], AbShares]:
+    """Figure 4: a group's vote shares per (pair label, network), summed
+    across websites."""
+    sums: Dict[Tuple[str, str], List[int]] = {}
+    for key, counts in partial.ab_votes.items():
+        cell_group, _, network, stack_a, stack_b = key.split(_SEP)
+        if cell_group != group:
+            continue
+        cell = sums.setdefault((f"{stack_a} vs. {stack_b}", network),
+                               [0, 0, 0, 0])
         for position, count in enumerate(counts):
             cell[position] += count
-    ab_shares = {
+    return {
         (pair_label, network): AbShares(
-            pair_label=pair_label,
-            network=network,
-            votes_a=votes[0],
-            votes_same=votes[1],
-            votes_b=votes[2],
+            pair_label=pair_label, network=network, votes_a=votes[0],
+            votes_same=votes[1], votes_b=votes[2],
             mean_replays=votes[3] / total if (total := sum(votes[:3]))
             else 0.0,
         )
-        for (pair_label, network), votes in shares_raw.items()
+        for (pair_label, network), votes in sums.items()
     }
 
-    # Figure 5: microworker speed mean+CI per (context, network, stack),
-    # merged across websites — the same cells as ``rating_means``.
-    fig5: Dict[Tuple[str, str, str], StreamingMoments] = {}
-    # Figure 3 inputs: per-condition moments across contexts.
-    lab_by_condition: Dict[Tuple[str, str, str], StreamingMoments] = {}
-    mw_by_condition: Dict[Tuple[str, str, str], StreamingMoments] = {}
-    # Figure 6 inputs: microworker per-site moments, context-filtered.
-    fig6: Dict[Tuple[str, str, str], StreamingMoments] = {}
-    for key, cell in partial.rating.items():
-        group, context, website, network, stack = key.split(_SEP)
-        speed = cell["speed"]
-        if group == "microworker":
-            fig5.setdefault((context, network, stack),
-                            StreamingMoments()).merge(speed.copy())
-            mw_by_condition.setdefault(
-                (website, network, stack),
-                StreamingMoments()).merge(speed.copy())
-            if CONTEXTS_FOR_NETWORK.get(network, context) == context:
-                fig6.setdefault((website, network, stack),
-                                StreamingMoments()).merge(speed.copy())
-        elif group == "lab":
-            lab_by_condition.setdefault(
-                (website, network, stack),
-                StreamingMoments()).merge(speed.copy())
-    rating_cells = [
-        RatingCell(context=context, network=network, stack=stack,
-                   ci=moments.ci(confidence))
-        for (context, network, stack), moments in sorted(fig5.items())
-    ]
 
-    # Figure 3: lab-tested conditions, ordered by lab mean.
-    agreement: List[ConditionAgreement] = []
-    for condition in sorted(lab_by_condition):
-        website, network, stack = condition
-        lab_moments = lab_by_condition[condition]
-        mw_moments = mw_by_condition.get(condition)
-        hist_row = partial.histograms.row(
-            _key("speed", website, network, stack))
-        agreement.append(ConditionAgreement(
+def rating_means(partial: StudyPartial, which: str = "speed",
+                 confidence: float = 0.99) -> List[RatingCell]:
+    """Figure 5: µWorker mean vote + CI per (context, network, stack)."""
+    cells = rating_moments(partial, "microworker",
+                           ("context", "network", "stack"), which)
+    return [RatingCell(context=context, network=network, stack=stack,
+                       ci=moments.ci(confidence))
+            for (context, network, stack), moments in sorted(cells.items())]
+
+
+def anova_by_setting(partial: StudyPartial,
+                     which: str = "speed") -> List[SettingAnova]:
+    """Figure 5 significance: one-way ANOVA of the µWorker votes over the
+    stacks per setting.
+
+    The paper: "using a significance level of 99% ... we do not find any
+    significant protocol/network configuration"; at 90% three settings
+    differ.
+    """
+    settings: Dict[Tuple[str, str], List[StreamingMoments]] = {}
+    for (context, network, _), moments in rating_moments(
+            partial, "microworker", ("context", "network", "stack"),
+            which).items():
+        settings.setdefault((context, network), []).append(moments)
+    return [SettingAnova(context=context, network=network,
+                         result=anova_from_moments(stacks))
+            for (context, network), stacks in sorted(settings.items())]
+
+
+#: The Table 1 comparison pairs of the Section 4.4 drill-down.
+WEBSITE_STACK_PAIRS = (("QUIC", "TCP"), ("QUIC", "TCP+"), ("TCP+", "TCP"),
+                       ("QUIC+BBR", "TCP+BBR"))
+
+
+def per_website_differences(
+    partial: StudyPartial,
+    which: str = "speed",
+    alpha: float = 0.10,
+    stack_pairs: Sequence[Tuple[str, str]] = WEBSITE_STACK_PAIRS,
+) -> List[WebsiteDifference]:
+    """Section 4.4: websites where one stack is rated significantly better.
+
+    Pairwise Welch tests per website and network, on the µWorker votes
+    of every context.
+    """
+    cells = rating_moments(partial, "microworker",
+                           ("website", "network", "stack"), which)
+    differences: List[WebsiteDifference] = []
+    for website in sorted({key[0] for key in cells}):
+        for network in sorted({key[1] for key in cells}):
+            for stack_x, stack_y in stack_pairs:
+                x = cells.get((website, network, stack_x))
+                y = cells.get((website, network, stack_y))
+                if x is None or y is None:
+                    continue
+                p = x.welch_p(y)
+                if p >= alpha:
+                    continue
+                faster, slower = (stack_x, stack_y) if x.mean > y.mean \
+                    else (stack_y, stack_x)
+                differences.append(WebsiteDifference(
+                    website=website, network=network, faster_stack=faster,
+                    slower_stack=slower,
+                    mean_difference=abs(x.mean - y.mean), p_value=p))
+    return differences
+
+
+def agreement_by_condition(partial: StudyPartial,
+                           confidence: float = 0.99
+                           ) -> List[ConditionAgreement]:
+    """Figure 3: per lab-tested condition, lab/µWorker mean+CI vs the
+    Internet median, ordered by the lab mean."""
+    by = ("website", "network", "stack")
+    lab = rating_moments(partial, "lab", by)
+    microworker = rating_moments(partial, "microworker", by)
+    rows: List[ConditionAgreement] = []
+    for condition in sorted(lab):
+        mw = microworker.get(condition)
+        hist_row = partial.histograms.row(_key("speed", *condition))
+        rows.append(ConditionAgreement(
             condition=condition,
-            lab=lab_moments.ci(confidence) if lab_moments.count else None,
-            microworker=mw_moments.ci(confidence)
-            if mw_moments is not None and mw_moments.count else None,
+            lab=lab[condition].ci(confidence)
+            if lab[condition].count else None,
+            microworker=mw.ci(confidence)
+            if mw is not None and mw.count else None,
             internet_median=_histogram_median(hist_row)
             if hist_row is not None else None,
         ))
-    agreement.sort(key=lambda row: row.lab.mean if row.lab else 0.0)
-
-    heatmap = _build_heatmap(fig6, index) if index is not None else None
-    return StudyReport(funnels=funnels, ab_shares=ab_shares,
-                       rating_cells=rating_cells, agreement=agreement,
-                       heatmap=heatmap)
+    rows.sort(key=lambda row: row.lab.mean if row.lab else 0.0)
+    return rows
 
 
-def _build_heatmap(
-    votes: Dict[Tuple[str, str, str], StreamingMoments],
-    index: ConditionIndex,
-) -> Optional["CorrelationHeatmap"]:
-    """Figure 6 from per-site vote moments + the condition index."""
-    from repro.analysis.correlation import METRIC_ORDER, CorrelationHeatmap
-    from repro.analysis.stats import pearson_r
+def correlation_heatmap(partial: StudyPartial,
+                        index: ConditionIndex
+                        ) -> Optional[CorrelationHeatmap]:
+    """Figure 6: Pearson r of per-site mean µWorker speed votes against
+    each technical metric, per (stack, network).
 
+    DSL/LTE use the free-time votes and the plane networks the plane
+    votes (:data:`CONTEXTS_FOR_NETWORK`). None when no (stack, network)
+    has two sites.
+    """
+    votes = rating_moments(
+        partial, "microworker", ("website", "network", "stack"),
+        where=lambda f: CONTEXTS_FOR_NETWORK.get(
+            f["network"], f["context"]) == f["context"])
     stacks = sorted({key[2] for key in votes})
     networks = sorted({key[1] for key in votes})
     values: Dict[Tuple[str, str, str], float] = {}

@@ -164,18 +164,3 @@ def compute_rating_block_reference(draws: RatingDraws,
         quality=quality, replays=replays, durations=durations,
         events=draws.events,
     )
-
-
-def run_ab_study_reference(*args, **kwargs):
-    """:func:`repro.study.ab.run_ab_study` on the scalar path."""
-    from repro.study.ab import run_ab_study
-
-    return run_ab_study(*args, compute=compute_ab_block_reference, **kwargs)
-
-
-def run_rating_study_reference(*args, **kwargs):
-    """:func:`repro.study.rating.run_rating_study` on the scalar path."""
-    from repro.study.rating import run_rating_study
-
-    return run_rating_study(*args, compute=compute_rating_block_reference,
-                            **kwargs)

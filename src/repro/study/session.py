@@ -3,15 +3,17 @@
 The study frontend records, per participant session: video play/stall
 events, window focus, vote timestamps relative to the video's first
 visual change, total and per-question durations, and the outcomes of the
-embedded control video and control questions. The R1-R7 filters operate
-exclusively on these logs.
+embedded control video and control questions. The R1-R7 filters of
+:mod:`repro.study.filtering` are specified over these logs.
 
-Generation happens in two steps so behaviour and log stay consistent:
-:meth:`ViolationPlan.draw` decides *what kind of participant this session
-has* (a rusher who votes before the first visual change also produces
-garbage votes), trials are generated accordingly, and
-:func:`realize_events` turns the plan plus the observed trial durations
-into the concrete log that the R1-R7 filters inspect.
+The engines draw each block's violation flags first
+(:func:`draw_violation_block`: a rusher who votes before the first
+visual change also produces garbage votes), so the funnel is a pure
+function of the flags and production code never builds a log.
+:func:`events_from_draws` realises the concrete log of one participant
+from the block's flags and event draws; together with
+:func:`~repro.study.filtering.apply_filters` it is the R1-R7 reference
+the vectorized funnel is tested against.
 """
 
 from __future__ import annotations
@@ -57,34 +59,6 @@ class ViolationPlan:
                     self.control_video_wrong, self.control_question_wrong))
 
     @staticmethod
-    def draw(group: GroupBehavior, study: str, rng: np.random.Generator,
-             diligence: float) -> "ViolationPlan":
-        """Sample a plan from the group's calibrated rates.
-
-        Behavioural violations scale with the participant's carelessness;
-        technical ones (stalls, overtime) do not.
-        """
-        rates = group.violations(study)
-        carelessness = min(2.0, (1.0 - diligence) / 0.25)
-
-        def behavioural(rate: float) -> bool:
-            scaled = rate * (0.4 + 0.6 * carelessness) if rate > 0 else 0.0
-            return bool(rng.random() < min(scaled, 0.97))
-
-        def technical(rate: float) -> bool:
-            return bool(rng.random() < rate)
-
-        return ViolationPlan(
-            not_played=behavioural(rates.not_played),
-            stalled=technical(rates.stalled),
-            focus_loss=behavioural(rates.focus_loss),
-            vote_before_fvc=behavioural(rates.vote_before_fvc),
-            overtime=technical(rates.overtime),
-            control_video_wrong=behavioural(rates.control_video_wrong),
-            control_question_wrong=behavioural(rates.control_question_wrong),
-        )
-
-    @staticmethod
     def from_flags(flags: np.ndarray) -> "ViolationPlan":
         """Build a plan from one R1..R7 column of a violation block."""
         return ViolationPlan(*(bool(flag) for flag in flags))
@@ -97,11 +71,12 @@ RULE_TECHNICAL = (False, True, False, False, True, False, False)
 
 def draw_violation_block(rng: np.random.Generator, group: GroupBehavior,
                          study: str, diligence: np.ndarray) -> np.ndarray:
-    """Batched :meth:`ViolationPlan.draw`: a ``(7, n)`` boolean matrix.
+    """Violation flags of one block: a ``(7, n)`` boolean matrix.
 
     Row ``i`` is rule ``R(i+1)``; column ``j`` is participant ``j`` of
-    the block (whose diligence is ``diligence[j]``). One ``(7, n)``
-    uniform draw replaces seven scalar draws per participant.
+    the block (whose diligence is ``diligence[j]``). Behavioural
+    violations scale with the participant's carelessness; technical
+    ones (stalls, overtime) do not.
     """
     rates = group.violations(study)
     values = (rates.not_played, rates.stalled, rates.focus_loss,
@@ -160,43 +135,6 @@ class SessionEvents:
     frame_colors: List[str] = field(default_factory=list)
 
 
-def realize_events(
-    plan: ViolationPlan,
-    trial_durations: List[float],
-    rng: np.random.Generator,
-) -> SessionEvents:
-    """Concrete event log for a session following ``plan``."""
-    events = SessionEvents()
-    events.all_videos_played = not plan.not_played
-    events.any_video_stalled = plan.stalled
-    if plan.focus_loss:
-        events.max_focus_loss_s = float(
-            rng.uniform(FOCUS_LOSS_LIMIT + 1.0, FOCUS_LOSS_LIMIT + 120.0))
-    else:
-        events.max_focus_loss_s = float(
-            rng.uniform(0.0, FOCUS_LOSS_LIMIT * 0.8))
-    events.any_vote_before_fvc = plan.vote_before_fvc
-    events.control_video_correct = not plan.control_video_wrong
-    events.control_questions_correct = not plan.control_question_wrong
-
-    base_total = float(sum(trial_durations))
-    if plan.overtime:
-        events.total_duration_s = STUDY_DURATION_LIMIT + float(
-            rng.uniform(30.0, 600.0))
-        events.max_question_duration_s = QUESTION_DURATION_LIMIT + float(
-            rng.uniform(5.0, 60.0))
-    else:
-        events.total_duration_s = min(base_total,
-                                      STUDY_DURATION_LIMIT * 0.9)
-        events.max_question_duration_s = min(
-            float(max(trial_durations, default=10.0)),
-            QUESTION_DURATION_LIMIT * 0.9,
-        )
-    events.frame_colors = [str(rng.choice(FRAME_COLORS))
-                           for _ in trial_durations]
-    return events
-
-
 def events_from_draws(
     plan: ViolationPlan,
     durations: np.ndarray,
@@ -207,10 +145,9 @@ def events_from_draws(
 ) -> SessionEvents:
     """Event log from pre-drawn block randomness.
 
-    The block-draw counterpart of :func:`realize_events`: uniforms are
-    drawn unconditionally (fixed shape) and mapped into ranges here, so
-    the scalar reference path and the vectorized engine realise the same
-    log from the same stream.
+    Uniforms are drawn unconditionally (fixed shape) and mapped into
+    ranges here, so rule ``Ri`` fires on the log exactly when flag ``i``
+    of ``plan`` is set.
     """
     events = SessionEvents()
     events.all_videos_played = not plan.not_played
@@ -238,27 +175,3 @@ def events_from_draws(
             longest, QUESTION_DURATION_LIMIT * 0.9)
     events.frame_colors = [FRAME_COLORS[int(code)] for code in color_codes]
     return events
-
-
-@dataclass
-class Demographics:
-    """Aggregate demographics of a set of sessions (Section 4.2)."""
-
-    male_share: float
-    age_distribution: List[tuple]
-
-    @staticmethod
-    def from_sessions(sessions) -> "Demographics":
-        if not sessions:
-            return Demographics(0.0, [])
-        males = sum(1 for s in sessions if s.gender == "male")
-        ages: dict = {}
-        for session in sessions:
-            ages[session.age_group] = ages.get(session.age_group, 0) + 1
-        total = len(sessions)
-        return Demographics(
-            male_share=males / total,
-            age_distribution=sorted(
-                (name, count / total) for name, count in ages.items()
-            ),
-        )

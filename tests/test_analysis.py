@@ -3,14 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.analysis.ab import AbShares, ab_vote_shares
-from repro.analysis.agreement import agreement_by_condition, behaviour_statistics
-from repro.analysis.correlation import correlation_heatmap
-from repro.analysis.rating import (
-    anova_by_setting,
-    per_website_differences,
-    rating_means,
-)
 from repro.analysis.stats import (
     anova_oneway,
     is_normal,
@@ -18,10 +10,23 @@ from repro.analysis.stats import (
     pearson_r,
     welch_ttest_p,
 )
-from repro.study.ab import AbSession, AbTrial
-from repro.study.design import AbCondition, RatingCondition
-from repro.study.rating import RatingSession, RatingTrial
-from repro.study.session import SessionEvents
+from repro.analysis.streaming import StreamingMoments
+from repro.study.design import SCALE_MIN, StudyPlan
+from repro.study.pipeline import (
+    SCORE_BINS,
+    ConditionIndex,
+    StudyPartial,
+    _key,
+    ab_vote_shares,
+    agreement_by_condition,
+    anova_by_setting,
+    correlation_heatmap,
+    per_website_differences,
+    rating_means,
+)
+from repro.study.rows import StudyRows, behaviour_statistics
+
+from tests.conftest import SMALL_SITES
 
 
 class TestMeanCI:
@@ -128,107 +133,118 @@ class TestWelch:
         assert p > 0.1
 
 
-# -- synthetic study data helpers -------------------------------------------
+# -- synthetic study partials ------------------------------------------------
 
-def ab_session(pid, votes, network="DSL", pair=("QUIC", "TCP"),
-               website="w.org", replays=0):
-    condition = AbCondition(website, network, *pair)
-    trials = []
-    for vote in votes:
-        answer = "same" if vote == "same" else (
-            "left" if vote == "a" else "right")
-        trials.append(AbTrial(condition=condition, left_is_a=True,
-                              answer=answer, confidence=0.5,
-                              replays=replays, duration_s=15.0))
-    return AbSession(participant_id=pid, group="test", trials=trials,
-                     events=SessionEvents(), gender="male",
-                     age_group="18-24")
+def ab_votes(partial, votes, network="DSL", pair=("QUIC", "TCP"),
+             website="w.org", replays=0, group="microworker"):
+    """Fold one participant's A/B votes ("a"/"same"/"b") into a partial."""
+    partial.ab_votes.add_vector(
+        _key(group, website, network, *pair),
+        [votes.count("a"), votes.count("same"), votes.count("b"),
+         replays * len(votes)])
+    return partial
 
 
-def rating_session(pid, scores, context="work", network="DSL",
-                   stack="TCP", website="w.org"):
-    condition = RatingCondition(website, network, stack)
-    trials = [RatingTrial(condition=condition, context=context,
-                          speed_score=s, quality_score=s, replays=0,
-                          duration_s=20.0) for s in scores]
-    return RatingSession(participant_id=pid, group="test", trials=trials,
-                         events=SessionEvents(), gender="female",
-                         age_group="25-44")
+def rating_votes(partial, scores, context="work", network="DSL",
+                 stack="TCP", website="w.org", group="microworker",
+                 quality=None):
+    """Fold one participant's rating scores into a partial."""
+    cell = partial.rating_cell(
+        _key(group, context, website, network, stack))
+    cell["speed"].merge(moments(scores))
+    cell["quality"].merge(moments(scores if quality is None else quality))
+    if group == "internet":
+        histogram = [0] * SCORE_BINS
+        for score in scores:
+            histogram[int(score) - SCALE_MIN] += 1
+        partial.histograms.add_vector(
+            _key("speed", website, network, stack), histogram)
+    return partial
+
+
+def moments(values):
+    accumulator = StreamingMoments()
+    accumulator.add_many(values)
+    return accumulator
+
+
+def empty_partial():
+    return StudyPartial(config={})
 
 
 class TestAbShares:
     def test_share_computation(self):
-        sessions = [ab_session(0, ["a", "a", "same", "b"])]
-        shares = ab_vote_shares(sessions)
-        cell = shares[("QUIC vs. TCP", "DSL")]
+        partial = ab_votes(empty_partial(), ["a", "a", "same", "b"])
+        cell = ab_vote_shares(partial)[("QUIC vs. TCP", "DSL")]
         assert cell.votes_a == 2
         assert cell.votes_same == 1
         assert cell.votes_b == 1
         assert cell.share_a == pytest.approx(0.5)
         assert cell.preferred == "a"
 
-    def test_website_filter(self):
-        sessions = [ab_session(0, ["a"], website="x.org"),
-                    ab_session(1, ["b"], website="y.org")]
-        shares = ab_vote_shares(sessions, websites=["x.org"])
-        cell = shares[("QUIC vs. TCP", "DSL")]
-        assert cell.total == 1
-
     def test_replay_average(self):
-        sessions = [ab_session(0, ["a"], replays=2),
-                    ab_session(1, ["b"], replays=0)]
-        cell = ab_vote_shares(sessions)[("QUIC vs. TCP", "DSL")]
+        partial = ab_votes(empty_partial(), ["a"], replays=2)
+        ab_votes(partial, ["b"], replays=0)
+        cell = ab_vote_shares(partial)[("QUIC vs. TCP", "DSL")]
         assert cell.mean_replays == pytest.approx(1.0)
 
 
 class TestRatingAnalysis:
     def test_rating_means_cells(self):
-        sessions = [rating_session(0, [50, 60], stack="TCP"),
-                    rating_session(1, [30, 40], stack="QUIC")]
-        cells = rating_means(sessions)
-        by_stack = {c.stack: c for c in cells}
+        partial = rating_votes(empty_partial(), [50, 60], stack="TCP")
+        rating_votes(partial, [30, 40], stack="QUIC")
+        by_stack = {c.stack: c for c in rating_means(partial)}
         assert by_stack["TCP"].mean == pytest.approx(55.0)
         assert by_stack["QUIC"].mean == pytest.approx(35.0)
 
     def test_anova_by_setting_detects_stack_gap(self):
         rng = np.random.default_rng(6)
-        sessions = []
-        for pid in range(40):
-            sessions.append(rating_session(
-                pid, list(rng.normal(55, 4, 3)), stack="TCP"))
-            sessions.append(rating_session(
-                100 + pid, list(rng.normal(40, 4, 3)), stack="QUIC"))
-        results = anova_by_setting(sessions)
+        partial = empty_partial()
+        for _ in range(40):
+            rating_votes(partial, list(rng.normal(55, 4, 3)), stack="TCP")
+            rating_votes(partial, list(rng.normal(40, 4, 3)), stack="QUIC")
+        results = anova_by_setting(partial)
         assert len(results) == 1
         assert results[0].significant(0.01)
 
     def test_per_website_differences(self):
         rng = np.random.default_rng(7)
-        sessions = []
-        for pid in range(30):
-            sessions.append(rating_session(
-                pid, list(rng.normal(60, 3, 3)), stack="QUIC",
-                website="fast.org"))
-            sessions.append(rating_session(
-                100 + pid, list(rng.normal(45, 3, 3)), stack="TCP",
-                website="fast.org"))
-        diffs = per_website_differences(sessions, alpha=0.05)
+        partial = empty_partial()
+        for _ in range(30):
+            rating_votes(partial, list(rng.normal(60, 3, 3)), stack="QUIC",
+                         website="fast.org")
+            rating_votes(partial, list(rng.normal(45, 3, 3)), stack="TCP",
+                         website="fast.org")
+        diffs = per_website_differences(partial, alpha=0.05)
         assert any(d.website == "fast.org" and d.faster_stack == "QUIC"
                    for d in diffs)
 
     def test_quality_score_selector(self):
-        sessions = [rating_session(0, [50])]
-        sessions[0].trials[0].quality_score = 20
-        cells = rating_means(sessions, which="quality")
+        partial = rating_votes(empty_partial(), [50], quality=[20])
+        cells = rating_means(partial, which="quality")
         assert cells[0].mean == 20
+
+
+def rows_of_sessions(scores, durations=20.0, male=False):
+    """Synthetic rating rows: one surviving session per score list."""
+    n = len(scores)
+    return StudyRows(
+        group="test", study="rating", conditions=[], contexts=[],
+        participant=np.arange(n), male=np.full(n, male),
+        age_group=["25-44"] * n, flags=np.zeros((7, n), dtype=bool),
+        trials={"indices": np.zeros((n, len(scores[0])), dtype=int),
+                "speed": np.array(scores, dtype=float),
+                "replays": np.zeros((n, len(scores[0])), dtype=int),
+                "durations": np.full((n, len(scores[0])), durations)})
 
 
 class TestAgreement:
     def test_agreement_rows(self):
-        lab = [rating_session(0, [50, 52]), rating_session(1, [48, 51])]
-        mw = [rating_session(2, [49, 53])]
-        inet = [rating_session(3, [20, 70, 50])]
-        rows = agreement_by_condition(lab, mw, inet)
+        partial = rating_votes(empty_partial(), [50, 52], group="lab")
+        rating_votes(partial, [48, 51], group="lab")
+        rating_votes(partial, [49, 53])
+        rating_votes(partial, [20, 70, 50], group="internet")
+        rows = agreement_by_condition(partial)
         assert len(rows) == 1
         row = rows[0]
         assert row.lab is not None
@@ -236,44 +252,49 @@ class TestAgreement:
         assert row.internet_median == 50
 
     def test_behaviour_statistics(self):
-        sessions = [rating_session(0, [50, 60]),
-                    rating_session(1, [55, 65])]
-        stats = behaviour_statistics(sessions, "test", "rating")
+        stats = behaviour_statistics(rows_of_sessions([[50, 60], [55, 65]]))
         assert stats.sessions == 2
         assert stats.mean_seconds_per_video == pytest.approx(20.0)
-        assert stats.demographics.male_share == 0.0
+        assert stats.male_share == 0.0
 
     def test_behaviour_statistics_empty(self):
+        rows = rows_of_sessions([[50]])
+        rows.flags[0] = True
+        rows.trials = {name: column[:0]
+                       for name, column in rows.trials.items()}
         with pytest.raises(ValueError):
-            behaviour_statistics([], "g", "rating")
+            behaviour_statistics(rows)
+
+
+@pytest.fixture(scope="module")
+def index(small_testbed):
+    return ConditionIndex.from_testbed(small_testbed,
+                                       StudyPlan(sites=SMALL_SITES))
 
 
 class TestCorrelationHeatmap:
-    def test_heatmap_from_testbed(self, small_testbed):
+    def test_heatmap_from_testbed(self, index):
         """Votes constructed to follow SI must correlate negatively."""
-        sessions = []
-        pid = 0
+        partial = empty_partial()
         for website in ("gov.uk", "apache.org"):
             for stack in ("TCP", "QUIC"):
-                rec = small_testbed.recording(website, "MSS", stack)
-                score = max(10, min(70, 70 - 2 * rec.si))
+                si = index.lookup(website, "MSS", stack).si
+                score = max(10, min(70, 70 - 2 * si))
                 for _ in range(3):
-                    sessions.append(rating_session(
-                        pid, [score], context="plane", network="MSS",
-                        stack=stack, website=website))
-                    pid += 1
-        heatmap = correlation_heatmap(sessions, small_testbed)
+                    rating_votes(partial, [score], context="plane",
+                                 network="MSS", stack=stack,
+                                 website=website)
+        heatmap = correlation_heatmap(partial, index)
         r = heatmap.r("TCP", "SI", "MSS")
         assert r is not None
         assert r < 0
 
-    def test_mean_r_by_metric(self, small_testbed):
-        sessions = []
-        for pid, website in enumerate(("gov.uk", "apache.org")):
-            rec = small_testbed.recording(website, "MSS", "TCP")
-            sessions.append(rating_session(
-                pid, [70 - rec.si], context="plane", network="MSS",
-                website=website))
-        heatmap = correlation_heatmap(sessions, small_testbed)
+    def test_mean_r_by_metric(self, index):
+        partial = empty_partial()
+        for website in ("gov.uk", "apache.org"):
+            si = index.lookup(website, "MSS", "TCP").si
+            rating_votes(partial, [70 - si], context="plane",
+                         network="MSS", website=website)
+        heatmap = correlation_heatmap(partial, index)
         means = heatmap.mean_r_by_metric()
         assert set(means) <= {"FVC", "SI", "VC85", "LVC", "PLT"}

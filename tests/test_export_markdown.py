@@ -5,9 +5,7 @@ import io
 
 import pytest
 
-from repro.analysis.ab import AbShares, ab_vote_shares
 from repro.analysis.correlation import CorrelationHeatmap
-from repro.analysis.rating import rating_means
 from repro.report.markdown import (
     md_figure4,
     md_figure5,
@@ -21,21 +19,36 @@ from repro.study.design import StudyPlan
 from repro.study.export import (
     ab_votes_csv,
     conditions_csv,
-    export_campaign,
+    export_rows,
     participants_csv,
     rating_votes_csv,
 )
 from repro.study.filtering import FilterFunnel
-from repro.study.simulate import run_campaign
+from repro.study.pipeline import (
+    ConditionIndex,
+    ab_vote_shares,
+    build_partial,
+    rating_means,
+)
+from repro.study.rows import rows_by_study
 
 from tests.conftest import SMALL_SITES
 
 
 @pytest.fixture(scope="module")
-def campaign(small_testbed):
-    plan = StudyPlan(sites=SMALL_SITES)
-    return run_campaign(small_testbed, plan, seed=3,
-                        participants_scale=0.05)
+def index(small_testbed):
+    return ConditionIndex.from_testbed(small_testbed,
+                                       StudyPlan(sites=SMALL_SITES))
+
+
+@pytest.fixture(scope="module")
+def partial(index):
+    return build_partial(index, seed=3, participants_scale=0.05)
+
+
+@pytest.fixture(scope="module")
+def study_rows(index):
+    return rows_by_study(index, seed=3, participants_scale=0.05)
 
 
 def parse(text):
@@ -43,11 +56,10 @@ def parse(text):
 
 
 class TestCsvExport:
-    def test_ab_votes_rows(self, campaign):
-        sessions = campaign.ab_filtered["microworker"]
-        rows = parse(ab_votes_csv(sessions))
-        expected = sum(len(s.trials) for s in sessions)
-        assert len(rows) == expected
+    def test_ab_votes_rows(self, study_rows):
+        study = study_rows[("microworker", "ab")]
+        rows = parse(ab_votes_csv(study))
+        assert len(rows) == study.trials["votes"].size
         assert set(rows[0]) == {
             "participant", "group", "website", "network", "stack_a",
             "stack_b", "left_is_a", "answer", "vote", "confidence",
@@ -55,32 +67,30 @@ class TestCsvExport:
         }
         assert all(r["vote"] in ("a", "b", "same") for r in rows)
 
-    def test_rating_votes_rows(self, campaign):
-        sessions = campaign.rating_filtered["microworker"]
-        rows = parse(rating_votes_csv(sessions))
+    def test_rating_votes_rows(self, study_rows):
+        rows = parse(rating_votes_csv(study_rows[("microworker", "rating")]))
         assert rows
         for row in rows[:20]:
             assert 10 <= float(row["speed_score"]) <= 70
             assert row["context"] in ("work", "free_time", "plane")
 
-    def test_participants_valid_flag(self, campaign):
-        all_sessions = campaign.ab["microworker"].sessions
-        kept = campaign.ab_filtered["microworker"]
-        rows = parse(participants_csv(all_sessions, kept, "ab"))
-        assert len(rows) == len(all_sessions)
+    def test_participants_valid_flag(self, study_rows, partial):
+        study = study_rows[("microworker", "ab")]
+        rows = parse(participants_csv(study))
+        funnel = partial.funnel("microworker", "ab")
+        assert len(rows) == funnel.initial
         valid = sum(int(r["valid"]) for r in rows)
-        assert valid == len(kept)
+        assert valid == funnel.final == study.trials["votes"].shape[0]
 
-    def test_conditions_metrics(self, campaign, small_testbed):
-        rows = parse(conditions_csv(
-            small_testbed, [("gov.uk", "DSL", "TCP")]))
+    def test_conditions_metrics(self, index):
+        rows = parse(conditions_csv(index, [("gov.uk", "DSL", "TCP")]))
         assert len(rows) == 1
         assert float(rows[0]["SI"]) > 0
         assert float(rows[0]["PLT"]) >= float(rows[0]["LVC"]) - 1e6
 
-    def test_export_campaign_writes_files(self, campaign, small_testbed,
+    def test_export_campaign_writes_files(self, study_rows, index,
                                           tmp_path):
-        written = export_campaign(campaign, small_testbed, tmp_path)
+        written = export_rows(study_rows.values(), index, tmp_path)
         names = {p.name for p in written}
         assert "ab_votes_microworker.csv" in names
         assert "rating_votes_internet.csv" in names
@@ -111,14 +121,14 @@ class TestMarkdown:
         assert "| g | ab | 100 |" in text
         assert "30" in text
 
-    def test_md_figure4(self, campaign):
-        shares = ab_vote_shares(campaign.ab_filtered["microworker"])
+    def test_md_figure4(self, partial):
+        shares = ab_vote_shares(partial)
         text = md_figure4(shares)
         assert "QUIC vs. TCP" in text
         assert "%" in text
 
-    def test_md_figure5(self, campaign):
-        cells = rating_means(campaign.rating_filtered["microworker"])
+    def test_md_figure5(self, partial):
+        cells = rating_means(partial)
         text = md_figure5(cells)
         assert "plane" in text
         assert "99% CI" in text

@@ -11,15 +11,17 @@ guarded on every run.
 
 import pytest
 
-from repro.analysis.ab import ab_vote_shares
-from repro.analysis.agreement import behaviour_statistics
-from repro.analysis.correlation import correlation_heatmap
-from repro.analysis.rating import anova_by_setting, rating_means
 from repro.analysis.stats import is_normal
-from repro.study.ab import run_ab_study
-from repro.study.design import StudyPlan
-from repro.study.filtering import apply_filters
-from repro.study.rating import run_rating_study
+from repro.study.design import PAPER_TABLE3, StudyPlan
+from repro.study.pipeline import (
+    ConditionIndex,
+    ab_vote_shares,
+    anova_by_setting,
+    build_partial,
+    correlation_heatmap,
+    rating_means,
+)
+from repro.study.rows import behaviour_statistics, study_rows
 
 from tests.conftest import SMALL_SITES
 
@@ -30,19 +32,30 @@ def plan():
 
 
 @pytest.fixture(scope="module")
-def filtered_ab(small_testbed, plan):
-    result = run_ab_study(small_testbed, "microworker", plan,
-                          participants=120, seed=42)
-    kept, _ = apply_filters(result.sessions, "microworker", "ab")
-    return kept
+def index(small_testbed, plan):
+    return ConditionIndex.from_testbed(small_testbed, plan)
+
+
+def scale_for(group, study, participants):
+    """Participant scale that yields ``participants`` entrants."""
+    return participants / PAPER_TABLE3[(group, study)][0]
+
+
+def microworker_partial(index, plan, study, participants, seed):
+    """One microworker study's partial (the other study rides along)."""
+    return build_partial(
+        index, plan, seed=seed, groups=("microworker",),
+        participants_scale=scale_for("microworker", study, participants))
 
 
 @pytest.fixture(scope="module")
-def filtered_rating(small_testbed, plan):
-    result = run_rating_study(small_testbed, "microworker", plan,
-                              participants=150, seed=43)
-    kept, _ = apply_filters(result.sessions, "microworker", "rating")
-    return kept
+def filtered_ab(index, plan):
+    return microworker_partial(index, plan, "ab", 120, 42)
+
+
+@pytest.fixture(scope="module")
+def filtered_rating(index, plan):
+    return microworker_partial(index, plan, "rating", 150, 43)
 
 
 class TestTechnicalSmoke:
@@ -65,19 +78,15 @@ class TestTechnicalSmoke:
 class TestStudySmoke:
     """Tier-1: the study machinery runs end to end at small scale."""
 
-    def test_ab_pipeline(self, small_testbed, plan):
-        result = run_ab_study(small_testbed, "microworker", plan,
-                              participants=30, seed=42)
-        kept, _ = apply_filters(result.sessions, "microworker", "ab")
-        shares = ab_vote_shares(kept)
+    def test_ab_pipeline(self, index, plan):
+        partial = microworker_partial(index, plan, "ab", 30, 42)
+        shares = ab_vote_shares(partial)
         assert shares
         assert all(cell.total > 0 for cell in shares.values())
 
-    def test_rating_pipeline(self, small_testbed, plan):
-        result = run_rating_study(small_testbed, "microworker", plan,
-                                  participants=30, seed=43)
-        kept, _ = apply_filters(result.sessions, "microworker", "rating")
-        cells = rating_means(kept)
+    def test_rating_pipeline(self, index, plan):
+        partial = microworker_partial(index, plan, "rating", 30, 43)
+        cells = rating_means(partial)
         assert cells
         assert all(0.0 <= cell.mean <= 100.0 for cell in cells)
 
@@ -163,28 +172,27 @@ class TestRatingFindings:
         assert all(m < 45 for m in plane)
 
     def test_microworker_votes_normal(self, filtered_rating):
-        votes = [t.speed_score for s in filtered_rating for t in s.trials
-                 if t.context == "work"]
+        votes = sum(cell.ci.n for cell in rating_means(filtered_rating)
+                    if cell.context == "work")
         # Gaussian-ish vote noise: Shapiro should usually accept on
         # moderate samples (the paper reports µWorker data as normal).
-        assert len(votes) > 100
+        assert votes > 100
 
-    def test_internet_votes_heavy_tailed(self, small_testbed, plan):
-        result = run_rating_study(small_testbed, "internet", plan,
-                                  participants=150, seed=44)
-        kept, _ = apply_filters(result.sessions, "internet", "rating")
-        votes = [t.speed_score for s in kept for t in s.trials]
-        assert not is_normal(votes)
+    def test_internet_votes_heavy_tailed(self, index, plan):
+        rows = study_rows(index, plan, "internet", "rating", seed=44,
+                          participants_scale=scale_for(
+                              "internet", "rating", 150))
+        assert not is_normal(rows.trials["speed"].ravel())
 
 
 @pytest.mark.slow
 class TestCorrelationFindings:
-    def test_heatmap_structure(self, filtered_rating, small_testbed):
+    def test_heatmap_structure(self, filtered_rating, index):
         """With only two small sites Pearson r is extremely noisy, so we
         check structure here and leave the shape (SI best, PLT worst,
         slower networks stronger) to the Figure 6 benchmark over the full
         named-site corpus."""
-        heatmap = correlation_heatmap(filtered_rating, small_testbed)
+        heatmap = correlation_heatmap(filtered_rating, index)
         means = heatmap.mean_r_by_metric()
         assert set(means) == {"FVC", "SI", "VC85", "LVC", "PLT"}
         assert all(-1.0 <= v <= 1.0 for v in means.values())
@@ -195,8 +203,10 @@ class TestCorrelationFindings:
 
 @pytest.mark.slow
 class TestBehaviourStats:
-    def test_section_42_statistics(self, filtered_ab):
-        stats = behaviour_statistics(filtered_ab, "microworker", "ab")
+    def test_section_42_statistics(self, index, plan):
+        stats = behaviour_statistics(study_rows(
+            index, plan, "microworker", "ab", seed=42,
+            participants_scale=scale_for("microworker", "ab", 120)))
         # Paper: µWorkers take ~14.5 s per A/B video.
         assert 5.0 < stats.mean_seconds_per_video < 60.0
-        assert 0.5 < stats.demographics.male_share < 0.95
+        assert 0.5 < stats.male_share < 0.95

@@ -1,4 +1,4 @@
-"""Session event synthesis and the R1-R7 conformance filters."""
+"""Session event logs, violation draws and the R1-R7 conformance filters."""
 
 from dataclasses import dataclass
 
@@ -7,22 +7,21 @@ import pytest
 
 from repro.study.filtering import FILTER_RULES, apply_filters
 from repro.study.participants import GROUPS, MICROWORKER, Participant
+from repro.study.rows import StudyRows, behaviour_statistics
 from repro.study.session import (
     FOCUS_LOSS_LIMIT,
     QUESTION_DURATION_LIMIT,
     STUDY_DURATION_LIMIT,
-    Demographics,
     SessionEvents,
     ViolationPlan,
-    realize_events,
+    draw_violation_block,
+    events_from_draws,
 )
 
 
 @dataclass
 class FakeSession:
     events: SessionEvents
-    gender: str = "male"
-    age_group: str = "18-24"
 
 
 def clean_events(**overrides):
@@ -96,20 +95,18 @@ class TestRules:
 class TestViolationPlan:
     def test_lab_never_violates(self):
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            plan = ViolationPlan.draw(GROUPS["lab"], "ab", rng, 0.5)
-            assert not plan.any
+        flags = draw_violation_block(rng, GROUPS["lab"], "ab",
+                                     np.full(100, 0.5))
+        assert not flags.any()
 
     def test_microworker_rates_roughly_calibrated(self):
         """Across many draws the expected funnel is near Table 3."""
         rng = np.random.default_rng(1)
         n = 3000
-        draws = []
-        for i in range(n):
-            diligence = float(np.random.default_rng(i).beta(5, 1.5))
-            draws.append(ViolationPlan.draw(MICROWORKER, "rating", rng,
-                                            diligence))
-        focus_rate = sum(1 for d in draws if d.focus_loss) / n
+        diligence = np.array([np.random.default_rng(i).beta(5, 1.5)
+                              for i in range(n)])
+        flags = draw_violation_block(rng, MICROWORKER, "rating", diligence)
+        focus_rate = flags[2].sum() / n
         rates = MICROWORKER.violations("rating")
         assert focus_rate == pytest.approx(rates.focus_loss, abs=0.06)
 
@@ -123,10 +120,18 @@ class TestViolationPlan:
         assert ViolationPlan(overtime=True).any
 
 
+def realise_log(plan, durations, rng):
+    """One participant's log from freshly drawn event randomness."""
+    return events_from_draws(
+        plan, np.asarray(durations, dtype=float), rng.random(),
+        rng.random(), rng.random(),
+        rng.integers(0, 3, len(durations)))
+
+
 class TestRealizeEvents:
     def test_clean_plan_realises_clean_log(self):
         rng = np.random.default_rng(0)
-        events = realize_events(ViolationPlan(), [10.0, 12.0], rng)
+        events = realise_log(ViolationPlan(), [10.0, 12.0], rng)
         assert events.all_videos_played
         assert events.max_focus_loss_s <= FOCUS_LOSS_LIMIT
         assert events.total_duration_s <= STUDY_DURATION_LIMIT
@@ -134,17 +139,17 @@ class TestRealizeEvents:
 
     def test_focus_loss_realised_above_threshold(self):
         rng = np.random.default_rng(0)
-        events = realize_events(ViolationPlan(focus_loss=True), [10.0], rng)
+        events = realise_log(ViolationPlan(focus_loss=True), [10.0], rng)
         assert events.max_focus_loss_s > FOCUS_LOSS_LIMIT
 
     def test_overtime_realised(self):
         rng = np.random.default_rng(0)
-        events = realize_events(ViolationPlan(overtime=True), [10.0], rng)
+        events = realise_log(ViolationPlan(overtime=True), [10.0], rng)
         assert events.total_duration_s > STUDY_DURATION_LIMIT
 
     def test_frame_colors_per_trial(self):
         rng = np.random.default_rng(0)
-        events = realize_events(ViolationPlan(), [10.0] * 7, rng)
+        events = realise_log(ViolationPlan(), [10.0] * 7, rng)
         assert len(events.frame_colors) == 7
         assert set(events.frame_colors) <= {"red", "green", "blue"}
 
@@ -152,7 +157,7 @@ class TestRealizeEvents:
         """Generated logs must be detected by exactly the planned rules."""
         rng = np.random.default_rng(3)
         plan = ViolationPlan(focus_loss=True, control_question_wrong=True)
-        events = realize_events(plan, [10.0], rng)
+        events = realise_log(plan, [10.0], rng)
         violated = [name for name, _, check in FILTER_RULES if check(events)]
         assert violated == ["R3", "R7"]
 
@@ -182,11 +187,19 @@ class TestParticipants:
         assert hard > easy
 
     def test_demographics_aggregation(self):
-        sessions = [FakeSession(clean_events(), gender="male"),
-                    FakeSession(clean_events(), gender="female"),
-                    FakeSession(clean_events(), gender="male")]
-        demo = Demographics.from_sessions(sessions)
-        assert demo.male_share == pytest.approx(2 / 3)
+        rows = StudyRows(
+            group="g", study="rating", conditions=[], contexts=[],
+            participant=np.arange(3), male=np.array([True, False, True]),
+            age_group=["18-24", "25-44", "18-24"],
+            flags=np.zeros((7, 3), dtype=bool),
+            trials={"indices": np.zeros((3, 1), dtype=int),
+                    "speed": np.full((3, 1), 50.0),
+                    "replays": np.zeros((3, 1), dtype=int),
+                    "durations": np.full((3, 1), 20.0)})
+        stats = behaviour_statistics(rows)
+        assert stats.male_share == pytest.approx(2 / 3)
+        assert stats.age_distribution == [("18-24", 2 / 3),
+                                          ("25-44", 1 / 3)]
 
     def test_group_demographics_match_paper(self):
         """76-79% male across groups (Section 4.2)."""

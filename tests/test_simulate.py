@@ -1,68 +1,67 @@
-"""Campaign orchestration details."""
+"""Whole-study orchestration details: groups, funnels, participation."""
 
 import pytest
 
-from repro.study.design import StudyPlan
-from repro.study.simulate import (
-    GROUP_ORDER,
-    PAPER_TABLE3,
-    CampaignResult,
-    run_campaign,
-)
+from repro.study.design import GROUP_ORDER, PAPER_TABLE3, StudyPlan
+from repro.study.pipeline import ConditionIndex, build_partial
+from repro.study.rows import rows_by_study
 
 from tests.conftest import SMALL_SITES
 
 
 @pytest.fixture(scope="module")
-def campaign(small_testbed):
-    plan = StudyPlan(sites=SMALL_SITES)
-    return run_campaign(small_testbed, plan, seed=5,
-                        participants_scale=0.05)
+def plan():
+    return StudyPlan(sites=SMALL_SITES)
+
+
+@pytest.fixture(scope="module")
+def index(small_testbed, plan):
+    return ConditionIndex.from_testbed(small_testbed, plan)
+
+
+@pytest.fixture(scope="module")
+def partial(index, plan):
+    return build_partial(index, plan, seed=5, participants_scale=0.05)
+
+
+@pytest.fixture(scope="module")
+def rows(index, plan):
+    return rows_by_study(index, plan, seed=5, participants_scale=0.05)
 
 
 class TestCampaign:
-    def test_groups_covered(self, campaign):
-        assert set(campaign.ab) == set(GROUP_ORDER)
-        assert set(campaign.rating) == set(GROUP_ORDER)
+    def test_groups_covered(self, partial, rows):
+        assert partial.config["groups"] == list(GROUP_ORDER)
+        assert set(rows) == {(group, study) for group in GROUP_ORDER
+                             for study in ("ab", "rating")}
 
-    def test_filtered_subsets(self, campaign):
-        for group in GROUP_ORDER:
-            kept = campaign.ab_filtered[group]
-            assert len(kept) <= len(campaign.ab[group].sessions)
-            kept_ids = {s.participant_id for s in kept}
-            all_ids = {s.participant_id
-                       for s in campaign.ab[group].sessions}
-            assert kept_ids <= all_ids
+    def test_filtered_subsets(self, partial, rows):
+        for (group, study), part in rows.items():
+            kept = set(part.kept.tolist())
+            assert kept <= set(part.participant.tolist())
+            funnel = partial.funnel(group, study)
+            assert funnel.initial == part.participant.size
+            assert funnel.final == len(kept)
 
-    def test_funnels_indexed(self, campaign):
-        funnel = campaign.funnel("internet", "rating")
+    def test_funnels_indexed(self, partial):
+        funnel = partial.funnel("internet", "rating")
         assert funnel.group == "internet"
-        with pytest.raises(KeyError):
-            campaign.funnel("internet", "nonsense")
+        assert partial.funnel("internet", "nonsense") is None
 
-    def test_minimum_participants_floor(self, campaign):
+    def test_minimum_participants_floor(self, partial):
         # scale 0.05 of lab's 35 would be < 2; the floor keeps it >= 10.
-        assert len(campaign.ab["lab"].sessions) >= 10
+        assert partial.funnel("lab", "ab").initial >= 10
 
-    def test_deterministic(self, small_testbed):
-        plan = StudyPlan(sites=SMALL_SITES)
-        a = run_campaign(small_testbed, plan, seed=9,
-                         participants_scale=0.03)
-        b = run_campaign(small_testbed, plan, seed=9,
-                         participants_scale=0.03)
-        votes_a = [t.vote for s in a.ab["microworker"].sessions
-                   for t in s.trials]
-        votes_b = [t.vote for s in b.ab["microworker"].sessions
-                   for t in s.trials]
-        assert votes_a == votes_b
+    def test_deterministic(self, index, plan):
+        a = build_partial(index, plan, seed=9, participants_scale=0.03)
+        b = build_partial(index, plan, seed=9, participants_scale=0.03)
+        assert a.to_state() == b.to_state()
 
-    def test_group_subset(self, small_testbed):
-        plan = StudyPlan(sites=SMALL_SITES)
-        partial = run_campaign(small_testbed, plan, seed=1,
-                               participants_scale=0.03,
-                               groups=("lab",))
-        assert set(partial.ab) == {"lab"}
-        assert len(partial.funnels) == 2
+    def test_group_subset(self, index, plan):
+        lab_only = build_partial(index, plan, seed=1,
+                                 participants_scale=0.03, groups=("lab",))
+        assert [key for key, _ in lab_only.funnels.items()] == \
+            ["lab|ab", "lab|rating"]
 
 
 class TestPaperReference:

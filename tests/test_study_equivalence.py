@@ -1,22 +1,24 @@
 """Scalar-vs-vectorized study equivalence.
 
-The vectorized block engine (:mod:`repro.study.engine`) must produce
-*exactly* the results of the per-participant scalar reference path
+The vectorized block kernels (:mod:`repro.study.engine`) must produce
+*exactly* the blocks of the per-vote scalar reference kernels
 (:mod:`repro.study.reference`): both consume the same block-draw
-streams, so every trial field, event log and demographic attribute has
-to match bit for bit. This is the study-layer analogue of
-``test_hotpath_equivalence.py`` — any divergence is a silent behaviour
-change and must fail loudly here.
+streams, so every block array — traits, violation flags, condition
+indices, side assignment, votes/answers or scores, confidences, replays
+and durations — has to match bit for bit. This is the study-layer
+analogue of ``test_hotpath_equivalence.py``: any divergence is a silent
+behaviour change and must fail loudly here.
 """
 
+import numpy as np
 import pytest
 
-from repro.study.ab import run_ab_study
 from repro.study.design import StudyPlan
-from repro.study.rating import run_rating_study
+from repro.study.engine import AbEngine, RatingEngine
+from repro.study.pipeline import ConditionIndex
 from repro.study.reference import (
-    run_ab_study_reference,
-    run_rating_study_reference,
+    compute_ab_block_reference,
+    compute_rating_block_reference,
 )
 
 from tests.conftest import SMALL_SITES
@@ -28,6 +30,19 @@ BLOCK_SIZE = 8
 
 GROUPS = ("lab", "microworker", "internet")
 SEEDS = (0, 11)
+
+TRAIT_FIELDS = ("jnd_threshold", "rating_bias", "diligence", "male",
+                "age_index")
+AB_FIELDS = ("start", "flags", "rusher", "indices", "left_is_a", "votes",
+             "answers", "confidence", "replays", "durations")
+RATING_FIELDS = ("start", "flags", "rusher", "indices", "speed",
+                 "quality", "replays", "durations")
+
+
+@pytest.fixture(scope="module")
+def index(small_testbed):
+    return ConditionIndex.from_testbed(small_testbed,
+                                       StudyPlan(sites=SMALL_SITES))
 
 
 def _group_seed_matrix(smoke):
@@ -42,70 +57,53 @@ def _group_seed_matrix(smoke):
     return params
 
 
-def _assert_sessions_equal(fast, slow):
-    assert len(fast) == len(slow)
+def _assert_identical(value_a, value_b, where):
+    if isinstance(value_a, tuple):
+        assert len(value_a) == len(value_b), where
+        for part_a, part_b in zip(value_a, value_b):
+            _assert_identical(part_a, part_b, where)
+        return
+    if isinstance(value_a, np.ndarray):
+        assert value_a.dtype == value_b.dtype, where
+    np.testing.assert_array_equal(value_a, value_b, err_msg=where)
+
+
+def _assert_blocks_identical(engine_cls, compute_reference, index, group,
+                             seed, fields):
+    engine = engine_cls(group, StudyPlan(sites=SMALL_SITES),
+                        lookup=index.lookup, block_size=BLOCK_SIZE)
+    fast = list(engine.blocks(PARTICIPANTS, seed))
+    slow = list(engine.blocks(PARTICIPANTS, seed,
+                              compute=compute_reference))
+    assert len(fast) == len(slow) == 3
     for a, b in zip(fast, slow):
-        assert a.participant_id == b.participant_id
-        assert a.group == b.group
-        assert a.gender == b.gender
-        assert a.age_group == b.age_group
-        ea, eb = a.events, b.events
-        assert ea.all_videos_played == eb.all_videos_played
-        assert ea.any_video_stalled == eb.any_video_stalled
-        assert ea.max_focus_loss_s == eb.max_focus_loss_s
-        assert ea.any_vote_before_fvc == eb.any_vote_before_fvc
-        assert ea.total_duration_s == eb.total_duration_s
-        assert ea.max_question_duration_s == eb.max_question_duration_s
-        assert ea.control_video_correct == eb.control_video_correct
-        assert ea.control_questions_correct == eb.control_questions_correct
-        assert ea.frame_colors == eb.frame_colors
-        assert len(a.trials) == len(b.trials)
+        for name in fields:
+            _assert_identical(getattr(a, name), getattr(b, name), name)
+        for name in TRAIT_FIELDS:
+            _assert_identical(getattr(a.traits, name),
+                              getattr(b.traits, name), name)
+        assert a.traits.age_names == b.traits.age_names
 
 
 @pytest.mark.parametrize(
     "group,seed", _group_seed_matrix(smoke=("microworker", 0)))
-def test_ab_study_identical(small_testbed, group, seed):
-    plan = StudyPlan(sites=SMALL_SITES)
-    kwargs = dict(group=group, plan=plan, participants=PARTICIPANTS,
-                  seed=seed, block_size=BLOCK_SIZE)
-    fast = run_ab_study(small_testbed, **kwargs)
-    slow = run_ab_study_reference(small_testbed, **kwargs)
-    _assert_sessions_equal(fast.sessions, slow.sessions)
-    for a, b in zip(fast.all_trials(), slow.all_trials()):
-        assert a.condition == b.condition
-        assert a.left_is_a == b.left_is_a
-        assert a.answer == b.answer
-        assert a.vote == b.vote
-        assert a.confidence == b.confidence
-        assert a.replays == b.replays
-        assert a.duration_s == b.duration_s
+def test_ab_study_identical(index, group, seed):
+    _assert_blocks_identical(AbEngine, compute_ab_block_reference, index,
+                             group, seed, AB_FIELDS)
 
 
 @pytest.mark.parametrize(
     "group,seed", _group_seed_matrix(smoke=("lab", 11)))
-def test_rating_study_identical(small_testbed, group, seed):
-    plan = StudyPlan(sites=SMALL_SITES)
-    kwargs = dict(group=group, plan=plan, participants=PARTICIPANTS,
-                  seed=seed, block_size=BLOCK_SIZE)
-    fast = run_rating_study(small_testbed, **kwargs)
-    slow = run_rating_study_reference(small_testbed, **kwargs)
-    _assert_sessions_equal(fast.sessions, slow.sessions)
-    for a, b in zip(fast.all_trials(), slow.all_trials()):
-        assert a.condition == b.condition
-        assert a.context == b.context
-        assert a.speed_score == b.speed_score
-        assert a.quality_score == b.quality_score
-        assert a.replays == b.replays
-        assert a.duration_s == b.duration_s
+def test_rating_study_identical(index, group, seed):
+    _assert_blocks_identical(RatingEngine, compute_rating_block_reference,
+                             index, group, seed, RATING_FIELDS)
 
 
-def test_block_size_invariance(small_testbed):
+def test_block_size_invariance(index):
     """Different block sizes partition the same streams differently, so
     results legitimately differ — but the default must be stable."""
-    plan = StudyPlan(sites=SMALL_SITES)
-    a = run_ab_study(small_testbed, group="microworker", plan=plan,
-                     participants=12, seed=4)
-    b = run_ab_study(small_testbed, group="microworker", plan=plan,
-                     participants=12, seed=4)
-    assert [t.vote for s in a.sessions for t in s.trials] == \
-        [t.vote for s in b.sessions for t in s.trials]
+    engine = AbEngine("microworker", StudyPlan(sites=SMALL_SITES),
+                      lookup=index.lookup)
+    a = [block.votes for block in engine.blocks(12, 4)]
+    b = [block.votes for block in engine.blocks(12, 4)]
+    _assert_identical(tuple(a), tuple(b), "votes")

@@ -1,13 +1,25 @@
 """Streaming study pipeline: partials, merge algebra, report, serve."""
 
+import copy
 import io
 import json
+import statistics
+import tempfile
+from collections import Counter
+from dataclasses import dataclass
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import _parse_shard, serve_study_queries
-from repro.study.design import StudyPlan
-from repro.study.filtering import FILTER_RULES
+from repro.study.design import GROUP_ORDER, StudyPlan, scaled_participants
+from repro.study.engine import AbEngine, RatingEngine
+from repro.study.export import VOTE_NAMES
+from repro.study.filtering import FILTER_RULES, apply_filters, funnel_from_flags
+from repro.study.participants import GROUPS
 from repro.study.pipeline import (
     ConditionIndex,
     StudyIndex,
@@ -18,13 +30,10 @@ from repro.study.pipeline import (
     build_report,
     merge_partials,
 )
-from repro.study.simulate import (
-    GROUP_ORDER,
-    run_campaign,
-    scaled_participants,
-)
+from repro.study.rows import rows_by_study
+from repro.study.session import ViolationPlan, events_from_draws
 from repro.testbed.harness import RecordingSummary
-from repro.testbed.store import ConditionKey
+from repro.testbed.store import ConditionKey, seal_record
 
 from tests.conftest import SMALL_SITES
 
@@ -114,31 +123,62 @@ class TestConditionIndex:
             "w.example", "SAT+LAN@split@adversarial", "TCP").plt == 9.0
 
 
+@dataclass
+class LoggedSession:
+    row: int
+    events: object
+
+
+def _event_logs(block):
+    """One realised R1-R7 event log per participant of a block."""
+    return [LoggedSession(i, events_from_draws(
+        ViolationPlan.from_flags(block.flags[:, i]), block.durations[i],
+        block.events.focus_u[i], block.events.total_u[i],
+        block.events.question_u[i], block.events.color_codes[i]))
+        for i in range(block.size)]
+
+
 class TestPartialAgainstClassicCampaign:
-    """The streaming pipeline must agree exactly with run_campaign."""
+    """The aggregates must agree exactly with the classic, session-shaped
+    reading of the same blocks: R1-R7 over realised event logs, and the
+    surviving rows."""
 
     @pytest.fixture(scope="class")
-    def campaign(self, small_testbed, plan):
-        return run_campaign(small_testbed, plan, seed=SEED,
-                            participants_scale=SCALE)
+    def rows(self, index, plan):
+        return rows_by_study(index, plan, seed=SEED,
+                             participants_scale=SCALE)
 
-    def test_funnels_identical(self, partial, campaign):
+    def test_funnels_identical(self, partial, index, plan, rows):
+        """funnel_from_flags == apply_filters over the event logs, at
+        full Table 3 participation so every rule removes someone."""
+        removed = np.zeros(len(FILTER_RULES), dtype=int)
         for group in GROUP_ORDER:
-            for study in ("ab", "rating"):
-                assert partial.funnel(group, study).as_row() == \
-                    campaign.funnel(group, study).as_row()
+            for engine_cls, study in ((AbEngine, "ab"),
+                                      (RatingEngine, "rating")):
+                engine = engine_cls(group, plan, lookup=index.lookup)
+                count = getattr(GROUPS[group], f"participants_{study}")
+                for block in engine.blocks(count, SEED, with_events=True):
+                    alive, funnel = funnel_from_flags(block.flags)
+                    survivors, reference = apply_filters(
+                        _event_logs(block))
+                    assert reference.as_row() == funnel.as_row()
+                    assert [log.row for log in survivors] == \
+                        np.flatnonzero(alive).tolist()
+                    removed += funnel.removed_by_rule()
+                assert funnel_from_flags(rows[(group, study)].flags)[1] \
+                    .as_row() == partial.funnel(group, study).as_row()
+        assert (removed > 0).all(), removed
 
-    def test_ab_votes_identical(self, partial, campaign):
-        from collections import Counter
-
+    def test_ab_votes_identical(self, partial, rows):
         reference = Counter()
         for group in GROUP_ORDER:
-            for session in campaign.ab_filtered[group]:
-                for trial in session.trials:
-                    c = trial.condition
-                    key = _key(group, c.website, c.network, c.stack_a,
-                               c.stack_b)
-                    reference[(key, trial.vote)] += 1
+            part = rows[(group, "ab")]
+            for index, vote in zip(part.trials["indices"].ravel().tolist(),
+                                   part.trials["votes"].ravel().tolist()):
+                c = part.conditions[index]
+                key = _key(group, c.website, c.network, c.stack_a,
+                           c.stack_b)
+                reference[(key, VOTE_NAMES[vote])] += 1
         for key, counts in partial.ab_votes.items():
             assert counts[0] == reference[(key, "a")]
             assert counts[1] == reference[(key, "same")]
@@ -146,20 +186,21 @@ class TestPartialAgainstClassicCampaign:
         total = sum(sum(c[:3]) for _, c in partial.ab_votes.items())
         assert total == sum(reference.values())
 
-    def test_rating_moments_identical(self, partial, campaign):
-        import statistics
-
+    def test_rating_moments_identical(self, partial, rows):
         reference = {}
         for group in GROUP_ORDER:
-            for session in campaign.rating_filtered[group]:
-                for trial in session.trials:
-                    c = trial.condition
-                    key = _key(group, trial.context, c.website,
-                               c.network, c.stack)
-                    cell = reference.setdefault(
-                        key, {"speed": [], "quality": []})
-                    cell["speed"].append(trial.speed_score)
-                    cell["quality"].append(trial.quality_score)
+            part = rows[(group, "rating")]
+            for index, speed, quality in zip(
+                    part.trials["indices"].ravel().tolist(),
+                    part.trials["speed"].ravel().tolist(),
+                    part.trials["quality"].ravel().tolist()):
+                c = part.conditions[index]
+                key = _key(group, part.contexts[index], c.website,
+                           c.network, c.stack)
+                cell = reference.setdefault(
+                    key, {"speed": [], "quality": []})
+                cell["speed"].append(speed)
+                cell["quality"].append(quality)
         assert set(reference) == set(partial.rating)
         for key, cell in partial.rating.items():
             for which in ("speed", "quality"):
@@ -169,14 +210,12 @@ class TestPartialAgainstClassicCampaign:
                 assert moments.mean == pytest.approx(
                     statistics.fmean(values), abs=1e-9)
 
-    def test_internet_medians_exact(self, partial, campaign):
-        import statistics
-
+    def test_internet_medians_exact(self, partial, rows):
+        part = rows[("internet", "rating")]
         scores = {}
-        for session in campaign.rating_filtered["internet"]:
-            for trial in session.trials:
-                scores.setdefault(trial.condition.key, []).append(
-                    trial.speed_score)
+        for index, speed in zip(part.trials["indices"].ravel().tolist(),
+                                part.trials["speed"].ravel().tolist()):
+            scores.setdefault(part.conditions[index].key, []).append(speed)
         for key, counts in partial.histograms.items():
             _, website, network, stack = key.split("|")
             values = scores[(website, network, stack)]
@@ -258,6 +297,139 @@ class TestMergeAlgebra:
         path.write_text(json.dumps(record))
         with pytest.raises(ValueError, match="checksum"):
             StudyPartial.load(path)
+
+
+    def _funnel(self, index, plan, *shards):
+        partials = [build_partial(index, plan, seed=SEED,
+                                  participants_scale=SCALE, shard=shard,
+                                  block_size=8, groups=("microworker",))
+                    for shard in shards]
+        return merge_partials(partials).funnel("microworker", "ab").as_row()
+
+    @pytest.mark.parametrize("shards,named", [
+        (((0, 2), (0, 2), (1, 2)), "0:2 and 0:2"),
+        (((0, 1), (1, 2)), "0:1 and 1:2"),
+        (((1, 4), (0, 2), (3, 6)), "1:4 and 3:6"),
+    ])
+    def test_overlapping_shards_refuse_to_merge(self, index, plan, shards,
+                                                named):
+        """Shards (i, k) and (j, l) share blocks iff i ≡ j (mod gcd);
+        merging them used to double-count those blocks silently."""
+        with pytest.raises(ValueError, match=f"shards {named} overlap"):
+            self._funnel(index, plan, *shards)
+
+    def test_disjoint_mixed_steps_merge_exactly(self, index, plan):
+        single = self._funnel(index, plan, (0, 1))
+        assert single == [24, 24, 23, 21, 16, 16, 15, 14]
+        assert self._funnel(index, plan, (0, 4), (2, 4), (1, 2)) == single
+        assert self._funnel(index, plan, (1, 2), (0, 2)) == single
+
+
+def _record_paths(value, prefix=()):
+    """Every (path, value) below the root of a JSON record."""
+    items = value.items() if isinstance(value, dict) \
+        else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield prefix + (key,), item
+        yield from _record_paths(item, prefix + (key,))
+
+
+def _at(record, path):
+    for key in path:
+        record = record[key]
+    return record
+
+
+#: One value of each JSON type; a mutation picks one of another type.
+JSON_VALUES = (None, True, "x", 7, 1.5, [], {})
+
+
+class TestPartialLoader:
+    """``StudyPartial.load`` either returns the partial that was written
+    or raises ``ValueError`` (``StaleCampaignError`` included) — never a
+    ``KeyError``/``TypeError`` traceback, never a different partial."""
+
+    @pytest.fixture(scope="class")
+    def original(self, index, plan):
+        return build_partial(index, plan, seed=SEED,
+                             participants_scale=SCALE, block_size=8,
+                             shard=(1, 3))
+
+    def _check(self, original, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "partial.json"
+            path.write_bytes(text if isinstance(text, bytes)
+                             else text.encode("utf-8"))
+            try:
+                loaded = StudyPartial.load(path)
+            except ValueError:
+                return
+        assert loaded.to_state() == original.to_state()
+
+    def test_missing_field_is_named(self, original):
+        state = original.to_state()
+        del state["funnels"]
+        with pytest.raises(ValueError, match="missing field state.funnels"):
+            StudyPartial.from_state(state)
+
+    def test_wrong_type_is_named(self, original):
+        state = copy.deepcopy(original.to_state())
+        state["config"]["seed"] = "5"
+        with pytest.raises(ValueError,
+                           match="state.config.seed must be int, got str"):
+            StudyPartial.from_state(state)
+
+    def test_unknown_version_refused(self, original):
+        state = original.to_state()
+        state["version"] = 2
+        with pytest.raises(ValueError, match="version 2"):
+            StudyPartial.from_state(state)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzz_sealed_bytes(self, original, data):
+        """Truncations and bit flips of a sealed file."""
+        raw = json.dumps(seal_record(original.to_state())).encode("utf-8")
+        position = data.draw(st.integers(0, len(raw) - 1))
+        if data.draw(st.booleans()):
+            raw = raw[:position]
+        else:
+            bit = data.draw(st.integers(0, 7))
+            raw = raw[:position] + bytes([raw[position] ^ (1 << bit)]) \
+                + raw[position + 1:]
+        self._check(original, raw)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzz_structure(self, original, data):
+        """Deleted fields and wrong-typed values, sealed and unsealed.
+
+        A sealed record is mutated after sealing (the checksum must
+        catch it) or re-sealed (the field checks must); an unsealed one
+        carries no checksum. Count rows (``rows`` entries) are data, not
+        fields: deleting one from an unsealed record is undetectable by
+        design, so deletions there target sealed records only.
+        """
+        state = copy.deepcopy(original.to_state())
+        paths = list(_record_paths(state))
+        path, value = paths[data.draw(st.integers(0, len(paths) - 1))]
+        parent = _at(state, path[:-1])
+        mode = data.draw(st.sampled_from(
+            ("sealed-after", "resealed", "unsealed")))
+        deletable = isinstance(parent, dict) and (
+            mode == "sealed-after" or path[-2:-1] != ("rows",))
+        sealed = seal_record(state) if mode == "sealed-after" else None
+        target = _at(sealed, path[:-1]) if sealed else parent
+        if deletable and data.draw(st.booleans()):
+            del target[path[-1]]
+        else:
+            target[path[-1]] = data.draw(st.sampled_from(
+                [v for v in JSON_VALUES if type(v) is not type(value)]))
+        record = sealed if sealed else (
+            seal_record(state) if mode == "resealed" else state)
+        self._check(original, json.dumps(record))
 
 
 class TestReport:
