@@ -21,17 +21,18 @@ renders a Table 1/2-style pivot (mean ± CI per cell, Welch significance
 marks); with ``--campaign-dir`` it reports post-hoc on a finished
 campaign directory without re-running anything.
 
-Campaigns also scale *out*: ``campaign --workers N`` runs N cooperative
-lease-claiming workers locally, and ``campaign --join DIR`` joins an
-existing campaign directory from any host that mounts it — workers
+Campaigns also scale *out*: ``campaign --join DIR`` joins an existing
+campaign directory as one cooperative lease-claiming worker, from any
+host that mounts it, and ``campaign --workers N`` (with or without
+``--join``) runs N such workers locally under a supervisor — workers
 never simulate a condition twice and each flushes a mergeable partial
 aggregate (see ``repro.testbed.distributed`` and
 ``docs/architecture.md``). ``--report --campaign-dir DIR
 --from-partials`` merges those per-worker shards instead of re-reading
 every summary.
 
-And they are chaos-hardened: ``campaign --supervise N`` runs N workers
-under a supervisor that respawns crashes with capped backoff and
+And they are chaos-hardened: the ``--workers`` supervisor splits the
+CPUs among its workers, respawns crashes with capped backoff and
 quarantines conditions that keep killing workers;
 ``--inject-faults PLAN`` arms a deterministic fault plan (crashes,
 heartbeat stalls, torn manifest writes, lease storms — see
@@ -69,7 +70,6 @@ from repro.testbed.campaign import (
     Campaign,
     CampaignSpec,
     ProgressPrinter,
-    pool_context,
 )
 from repro.testbed.distributed import (
     LeaseConfig,
@@ -217,18 +217,6 @@ def _print_report(report: GridReport, fmt: str) -> None:
         print(render_grid(report))
 
 
-def _worker_entry(campaign_dir: str, cache_dir: Optional[str],
-                  worker_id: str, lease: LeaseConfig,
-                  report_args: argparse.Namespace,
-                  run_kwargs: dict) -> None:
-    """Child cooperative worker (``--workers N`` spawns N-1 of these)."""
-    campaign = join_campaign(campaign_dir, cache_dir=cache_dir)
-    report = _make_report(report_args)
-    result = run_worker(campaign, worker_id=worker_id, lease=lease,
-                        report=report, **run_kwargs)
-    sys.exit(0 if result.ok else 1)
-
-
 def _lease_config(args: argparse.Namespace) -> LeaseConfig:
     try:
         return LeaseConfig(ttl_s=args.lease_ttl,
@@ -270,135 +258,62 @@ def _report_merged(args: argparse.Namespace, campaign: Campaign,
     _print_report(merged, args.format)
 
 
-def _cmd_campaign_supervised(args: argparse.Namespace,
-                             campaign: Campaign, info) -> int:
-    """Supervised execution: ``--supervise N`` (+ ``--inject-faults``)."""
-    lease = _lease_config(args)
-    workers = args.supervise
-    if workers < 1:
-        raise SystemExit(
-            f"repro campaign: error: --supervise must be at least 1, "
-            f"got {workers}")
-    plan = faults.FaultPlan()
-    if args.inject_faults:
-        plan = _parse_fault_plan(args.inject_faults)
-    processes = args.processes
-    if processes is None and workers > 1:
-        processes = max(1, ((os.cpu_count() or 2) - 1) // workers)
-    run_kwargs = dict(
-        processes=processes,
-        batch_size=args.batch_size,
-        failure_policy=args.failure_policy,
-        claim_chunk=args.claim_chunk,
-    )
+def _run_fleet(args: argparse.Namespace, campaign: Campaign,
+               lease: LeaseConfig, plan: "faults.FaultPlan",
+               run_kwargs: dict, info) -> int:
+    """``--workers N``: N cooperative workers under a supervisor."""
     campaign.write_spec()
-    print(f"supervising {workers} worker(s) over "
+    print(f"supervising {args.workers} worker(s) over "
           f"{campaign.campaign_dir}"
           + (f", faults: {plan.describe()}" if plan else ""),
           file=info)
-    supervisor = Supervisor(
+    outcome = Supervisor(
         campaign.campaign_dir,
-        workers=workers,
+        workers=args.workers,
         cache_dir=args.cache_dir,
         plan=plan,
         lease=lease,
         retry_budget=args.retry_budget,
         max_respawns=args.max_respawns,
-        run_kwargs=run_kwargs,
-    )
-    outcome = supervisor.run()
+        run_kwargs=dict(run_kwargs, claim_chunk=args.claim_chunk,
+                        report=_make_report(args)),
+        worker_id=args.worker_id,
+    ).run()
     print(outcome.describe(), file=info)
-    if args.report:
-        _report_merged(args, campaign, info)
     return 0 if outcome.ok else 1
 
 
-def _cmd_campaign_distributed(args: argparse.Namespace,
-                              campaign: Campaign, info) -> int:
-    """Cooperative lease-claiming execution (--join and/or --workers)."""
-    lease = _lease_config(args)
-    workers = args.workers if args.workers is not None else 1
-    if workers < 1:
-        raise SystemExit(
-            f"repro campaign: error: --workers must be at least 1, "
-            f"got {workers}")
-    if args.claim_chunk is not None and args.claim_chunk < 1:
-        raise SystemExit(
-            f"repro campaign: error: --claim-chunk must be at least 1, "
-            f"got {args.claim_chunk}")
-    base_id = args.worker_id if args.worker_id is not None \
-        else default_worker_id()
-    # N workers on one box share the CPUs; an explicit --processes is
-    # honoured per worker.
-    processes = args.processes
-    if processes is None and workers > 1:
-        processes = max(1, ((os.cpu_count() or 2) - 1) // workers)
-    run_kwargs = dict(
-        processes=processes,
-        batch_size=args.batch_size,
-        failure_policy=args.failure_policy,
-        claim_chunk=args.claim_chunk,
-    )
-    campaign.write_spec()
-    print(f"worker {base_id!r} joining campaign dir "
-          f"{campaign.campaign_dir} ({workers} local worker"
-          f"{'s' if workers != 1 else ''}, lease ttl {lease.ttl_s:g}s)",
-          file=info)
-    children = []
-    ctx = pool_context()
-    for index in range(1, workers):
-        child = ctx.Process(
-            target=_worker_entry,
-            args=(str(campaign.campaign_dir), args.cache_dir,
-                  f"{base_id}-{index}", lease, args, run_kwargs),
-        )
-        child.start()
-        children.append(child)
+def _run_in_process(args: argparse.Namespace, campaign: Campaign,
+                    lease: LeaseConfig, plan: "faults.FaultPlan",
+                    run_kwargs: dict, info) -> int:
+    """A plain run, or one ``--join`` worker, with live progress."""
+    if plan:
+        faults.install(plan, worker=os.environ.get(faults.WORKER_ENV, "*"))
     progress = None if args.quiet else ProgressPrinter(stream=info)
-    try:
-        result = run_worker(
-            campaign,
-            worker_id=base_id if workers == 1 else f"{base_id}-0",
-            lease=lease, report=_make_report(args), progress=progress,
-            **run_kwargs)
-    except BaseException:
-        # Abort/Ctrl-C in this worker must not leave the siblings
-        # silently finishing the grid while the interpreter waits on
-        # them at exit. SIGINT first: it unwinds the child through its
-        # own pool/lease cleanup (a bare terminate() would orphan the
-        # child's pool workers mid-simulation).
-        import signal
-
-        for child in children:
-            if child.is_alive():
-                try:
-                    os.kill(child.pid, signal.SIGINT)
-                except OSError:
-                    pass
-        for child in children:
-            child.join(timeout=10)
-        for child in children:
-            if child.is_alive():
-                child.terminate()
-            child.join()
-        raise
-    failed_children = 0
-    for child in children:
-        child.join()
-        failed_children += child.exitcode != 0
-    counts = result.counts
-    print(f"done in {result.duration_s:.1f}s: "
-          + ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
-          + (f"; {failed_children} worker(s) reported failures"
-             if failed_children else ""), file=info)
-    if not result.ok:
-        for failed in result.failed:
-            last = (failed.error or "").strip().splitlines()
-            print(f"FAILED {failed.condition.label}: "
-                  f"{last[-1] if last else 'unknown error'}", file=info)
-    if args.report:
-        _report_merged(args, campaign, info)
-    return 0 if result.ok and not failed_children else 1
+    if args.join is None:
+        result = campaign.run(progress=progress, **run_kwargs)
+    else:
+        worker_id = args.worker_id if args.worker_id is not None \
+            else default_worker_id()
+        print(f"worker {worker_id!r} joining campaign dir "
+              f"{campaign.campaign_dir} (lease ttl {lease.ttl_s:g}s)",
+              file=info)
+        result = run_worker(campaign, worker_id=worker_id, lease=lease,
+                            report=_make_report(args), progress=progress,
+                            claim_chunk=args.claim_chunk, **run_kwargs)
+    rate = len(result.results) / result.duration_s \
+        if result.duration_s else 0
+    print(f"done in {result.duration_s:.1f}s ({rate:.1f} conditions/s): "
+          + ", ".join(f"{v} {k}" for k, v in sorted(result.counts.items())),
+          file=info)
+    for failed in result.failed:
+        last = (failed.error or "").strip().splitlines()
+        print(f"FAILED {failed.condition.label}: "
+              f"{last[-1] if last else 'unknown error'}", file=info)
+    if result.ok and not args.report:
+        mean_si = fmean(s.si for _, s in campaign.iter_summaries())
+        print(f"mean SI over the grid: {mean_si:.2f} s")
+    return 0 if result.ok else 1
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -410,18 +325,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         else:
             print(render_status(status))
         return 0
-    if args.supervise is not None and args.workers is not None:
-        raise SystemExit(
-            "repro campaign: error: --supervise conflicts with "
-            "--workers; the supervisor spawns and respawns its own "
-            "worker subprocesses")
-    if args.inject_faults and args.supervise is None:
-        # Unsupervised chaos smoke: arm the plan in this process and
-        # export it so --workers children (run_worker) pick it up too.
-        plan = _parse_fault_plan(args.inject_faults)
-        os.environ[faults.PLAN_ENV] = plan.describe()
-        faults.install(plan,
-                       worker=os.environ.get(faults.WORKER_ENV, "*"))
     if args.campaign_dir is not None:
         # Post-hoc reporting: stream a finished campaign directory's
         # summaries through the accumulators — nothing is re-run.
@@ -472,8 +375,20 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     # progress/banner lines move to stderr.
     info = sys.stderr if args.report and args.format == "json" \
         else sys.stdout
+    # Reject bad execution and report flags before anything is created
+    # or spawned, not after a possibly long run.
+    for flag, value in (("--workers", args.workers),
+                        ("--claim-chunk", args.claim_chunk)):
+        if value is not None and value < 1:
+            raise SystemExit(f"repro campaign: error: {flag} must be at "
+                             f"least 1, got {value}")
+    _make_report(args)
+    lease = _lease_config(args)
+    plan = _parse_fault_plan(args.inject_faults) if args.inject_faults \
+        else faults.FaultPlan()
+    run_kwargs = dict(processes=args.processes, batch_size=args.batch_size,
+                      failure_policy=args.failure_policy)
     if args.join is not None:
-        _lease_config(args)  # reject bad lease flags before joining
         # The joined directory's spec.json is the single source of
         # truth for the grid — grid flags would silently disagree.
         # (Non-default == explicitly requested; re-passing a default
@@ -502,9 +417,17 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         except (FileNotFoundError, StaleCampaignError,
                 ValueError) as error:
             raise SystemExit(f"repro campaign: error: {error}")
-        if args.supervise is not None:
-            return _cmd_campaign_supervised(args, campaign, info)
-        return _cmd_campaign_distributed(args, campaign, info)
+    else:
+        campaign = _new_campaign(args, info)
+    run = _run_fleet if args.workers is not None else _run_in_process
+    code = run(args, campaign, lease, plan, run_kwargs, info)
+    if args.report:
+        _report_merged(args, campaign, info)
+    return code
+
+
+def _new_campaign(args: argparse.Namespace, info) -> Campaign:
+    """The campaign the grid flags describe, announced on ``info``."""
     try:
         networks: List[object] = [network_by_name(name)
                                   for name in (args.networks or [])]
@@ -536,44 +459,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
           f"{len(spec.stacks)} stacks x {len(spec.seeds)} seeds"
           f"{optional_note}), {args.runs} runs each", file=info)
     print(f"manifest: {campaign.manifest_path}", file=info)
-    if args.supervise is not None:
-        return _cmd_campaign_supervised(args, campaign, info)
-    if args.workers is not None:
-        return _cmd_campaign_distributed(args, campaign, info)
-    progress = None if args.quiet else ProgressPrinter(stream=info)
-    report = _make_report(args) if args.report else None
-    sink = None
-    if report is not None:
-        # Summaries stream into the accumulators as conditions settle;
-        # rendering after the run needs no second pass over the grid.
-        sink = lambda condition, summary: \
-            report.add(condition.key, summary)  # noqa: E731
-    result = campaign.run(
-        processes=args.processes,
-        failure_policy=args.failure_policy,
-        progress=progress,
-        batch_size=args.batch_size,
-        sink=sink,
-    )
-    counts = result.counts
-    rate = len(result.results) / result.duration_s if result.duration_s else 0
-    print(f"done in {result.duration_s:.1f}s ({rate:.1f} conditions/s): "
-          + ", ".join(f"{v} {k}" for k, v in sorted(counts.items())),
-          file=info)
-    if not result.ok:
-        for failed in result.failed:
-            last = (failed.error or "").strip().splitlines()
-            print(f"FAILED {failed.condition.label}: "
-                  f"{last[-1] if last else 'unknown error'}", file=info)
-        return 1
-    if report is not None:
-        if info is sys.stdout:
-            print()
-        _print_report(report, args.format)
-    else:
-        mean_si = fmean(s.si for _, s in campaign.iter_summaries())
-        print(f"mean SI over the grid: {mean_si:.2f} s")
-    return 0
+    return campaign
 
 
 def _parse_shard(text: str) -> Tuple[int, int]:
@@ -844,11 +730,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_campaign.add_argument("--workers", type=int, default=None,
                             metavar="N",
                             help="run N cooperative workers on this "
-                                 "machine (with or without --join); "
-                                 "each claims conditions through the "
-                                 "lease protocol and writes its own "
-                                 "partial aggregate (default: plain "
-                                 "single-worker execution)")
+                                 "machine (with or without --join) "
+                                 "under a supervisor that splits the "
+                                 "CPUs among them, respawns crashed or "
+                                 "stalled ones with capped backoff and "
+                                 "quarantines conditions that keep "
+                                 "killing workers; each claims "
+                                 "conditions through the lease protocol "
+                                 "and writes its own partial aggregate "
+                                 "(default: one worker in this process)")
     p_campaign.add_argument("--worker-id", default=None,
                             help="cooperative worker identity stamped "
                                  "on claims, manifest lines and partial "
@@ -874,13 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "evenly, large ones amortise claim "
                                  "overhead (default: two rounds of the "
                                  "worker's process pool)")
-    p_campaign.add_argument("--supervise", type=int, default=None,
-                            metavar="N",
-                            help="run N workers under a supervisor "
-                                 "that respawns crashed/stalled ones "
-                                 "with capped backoff and quarantines "
-                                 "conditions that keep killing workers "
-                                 "(conflicts with --workers)")
     p_campaign.add_argument("--inject-faults", default=None,
                             metavar="PLAN",
                             help="deterministic chaos plan: "
@@ -891,12 +774,12 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(see repro.testbed.faults)")
     p_campaign.add_argument("--retry-budget", type=int, default=3,
                             metavar="K",
-                            help="with --supervise: worker deaths one "
+                            help="with --workers: worker deaths one "
                                  "condition may cause before it is "
                                  "quarantined as poisoned (default: 3)")
     p_campaign.add_argument("--max-respawns", type=int, default=8,
                             metavar="N",
-                            help="with --supervise: respawns allowed "
+                            help="with --workers: respawns allowed "
                                  "per worker slot before the "
                                  "supervisor gives up on it "
                                  "(default: 8)")

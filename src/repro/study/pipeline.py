@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -391,13 +390,9 @@ class StudyPartial:
 
     def write(self, path: Union[str, Path]) -> None:
         """Atomically write the sealed partial state to ``path``."""
-        from repro.testbed.store import seal_record
+        from repro.testbed.store import atomic_write_text, seal_record
 
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.tmp")
-        tmp.write_text(json.dumps(seal_record(self.to_state())))
-        os.replace(tmp, path)
+        atomic_write_text(path, json.dumps(seal_record(self.to_state())))
 
     @classmethod
     def load(cls, path: Union[str, Path],

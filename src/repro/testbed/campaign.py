@@ -51,6 +51,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
     Union,
@@ -86,6 +87,7 @@ from repro.testbed.store import (
     ConditionKey,
     SummaryStore,
     append_record,
+    atomic_write_text,
     read_jsonl,
 )
 from repro.transport.config import STACKS, StackConfig
@@ -461,6 +463,85 @@ def _run_condition_batch(
     return [_run_condition(payload) for payload in batch]
 
 
+def default_processes(workers: int = 1) -> int:
+    """Pool size for each of ``workers`` local workers: all-but-one CPU,
+    split evenly. Workers beyond the core count only add scheduling
+    overhead for CPU-bound simulation; an explicit request is honoured
+    wherever this default applies."""
+    return max(1, ((os.cpu_count() or 2) - 1) // workers)
+
+
+class ClaimProtocol(Protocol):
+    """Which conditions a :meth:`Campaign.run` owns, and when.
+
+    :class:`LocalClaims` owns the whole grid; the cooperative
+    :class:`~repro.testbed.distributed.ClaimQueue` leases conditions
+    from a campaign directory shared with other workers.
+    """
+
+    def select(
+        self, conditions: Sequence[Condition],
+    ) -> Tuple[List[Condition], List[Condition]]:
+        """Partition pending conditions into ``(mine, theirs)``: leases
+        acquired now, and conditions held elsewhere (deferred)."""
+
+    def adopt(self, condition: Condition) -> bool:
+        """Claim the right to append the manifest line of a recording
+        nobody has manifested (or of a poisoned condition)."""
+
+    def committed(self, fingerprint: str) -> bool:
+        """Has another worker committed this condition since the run
+        read its manifest?"""
+
+    def poisoned(self, fingerprint: str) -> bool:
+        """Has a supervisor quarantined this condition?"""
+
+    def release(self, condition: Condition) -> None:
+        """Drop a lease after the condition's manifest line landed."""
+
+    def recorded(self, condition: Condition,
+                 summary: Optional[RecordingSummary] = None) -> None:
+        """This worker simulated and stored the condition (``summary``
+        is ``None`` when the run did not load it)."""
+
+    def wait(
+        self, deferred: Sequence[Condition],
+    ) -> Tuple[List[Condition], List[Condition], List[Condition]]:
+        """One bounded poll over deferred conditions: ``(settled
+        elsewhere, reclaimed for us, still deferred)``."""
+
+
+class LocalClaims:
+    """The claims of a plain run: every condition is ours, and nothing
+    touches disk."""
+
+    def select(
+        self, conditions: Sequence[Condition],
+    ) -> Tuple[List[Condition], List[Condition]]:
+        return list(conditions), []
+
+    def adopt(self, condition: Condition) -> bool:
+        return True
+
+    def committed(self, fingerprint: str) -> bool:
+        return False
+
+    def poisoned(self, fingerprint: str) -> bool:
+        return False
+
+    def release(self, condition: Condition) -> None:
+        pass
+
+    def recorded(self, condition: Condition,
+                 summary: Optional[RecordingSummary] = None) -> None:
+        pass
+
+    def wait(
+        self, deferred: Sequence[Condition],
+    ) -> Tuple[List[Condition], List[Condition], List[Condition]]:
+        return [], list(deferred), []
+
+
 def pool_context() -> multiprocessing.context.BaseContext:
     """Fork where the platform supports it: workers start in
     milliseconds instead of re-importing the interpreter + library
@@ -556,16 +637,13 @@ class Campaign:
         spec (the fingerprint-derived directory name makes "same spec"
         mean "same directory").
         """
-        self.campaign_dir.mkdir(parents=True, exist_ok=True)
         spec_path = self.campaign_dir / "spec.json"
         if not spec_path.exists():
             # Atomic: spec.json is the --join entry point, and a
             # half-written file would brick the directory for every
             # joiner (the exists() guard means it is never rewritten).
-            tmp = spec_path.with_name(
-                f".{spec_path.name}.{os.getpid()}.tmp")
-            tmp.write_text(json.dumps(self.spec.describe(), indent=2))
-            os.replace(tmp, spec_path)
+            atomic_write_text(spec_path,
+                              json.dumps(self.spec.describe(), indent=2))
         return spec_path
 
     # -- execution -----------------------------------------------------------
@@ -578,12 +656,12 @@ class Campaign:
         progress: Optional[ProgressCallback] = None,
         batch_size: Optional[int] = None,
         sink: Optional[SummarySink] = None,
-        claims: Optional["ClaimProtocol"] = None,
+        claims: Optional[ClaimProtocol] = None,
     ) -> CampaignResult:
         """Record every condition, resuming any earlier partial run.
 
         ``processes`` ≤ 1 executes inline (deterministic, debuggable);
-        ``None`` uses all-but-one CPU. ``failure_policy``:
+        ``None`` uses :func:`default_processes`. ``failure_policy``:
 
         * ``retry`` — re-queue a failed condition up to ``max_retries``
           extra attempts, then record it as failed and continue;
@@ -604,23 +682,12 @@ class Campaign:
         aggregation can run concurrently with the sweep instead of
         loading the whole grid afterwards.
 
-        ``claims`` makes the work queue cooperative: before a condition
-        is simulated it must be acquired from the claim object, and
-        conditions another worker holds are deferred and polled instead
-        of re-simulated. This is how any number of
-        :mod:`repro.testbed.distributed` workers on different hosts
-        share one campaign directory. The object implements
-
-        * ``select(conditions) -> (mine, theirs)`` — partition pending
-          conditions into acquired leases and ones held elsewhere;
-        * ``release(condition)`` — drop a lease after the condition's
-          manifest line landed (success or terminal failure);
-        * ``recorded(condition, summary)`` — this worker
-          simulated+stored the condition (partial-aggregation hook);
-        * ``wait(deferred) -> (settled, reclaimed, still_deferred)`` —
-          one bounded poll: conditions now recorded by another worker,
-          conditions whose lease went stale (ours to retry), and the
-          rest.
+        ``claims`` decides which conditions this run owns (see
+        :class:`ClaimProtocol`). The default :class:`LocalClaims` owns
+        the whole grid; a :class:`~repro.testbed.distributed.ClaimQueue`
+        shares one campaign directory with cooperating workers, which
+        is how any number of them, on any number of hosts, record one
+        grid without simulating a condition twice.
         """
         if failure_policy not in FAILURE_POLICIES:
             raise ValueError(
@@ -629,119 +696,109 @@ class Campaign:
         if batch_size is not None and batch_size < 1:
             raise ValueError(
                 f"batch_size must be at least 1, got {batch_size}")
+        claims = claims or LocalClaims()
+        if processes is None:
+            processes = default_processes()
         # simlint: allow[no-wallclock] -- campaign wall-clock duration for progress/result reporting
         started = time.perf_counter()
         self.write_spec()
         conditions = self.spec.conditions()
         manifest = self._load_manifest()
-
-        # Supervisor quarantine support (duck-typed so plain claim
-        # objects need not implement it): conditions marked poisoned —
-        # they repeatedly killed workers — settle as terminal failures
-        # instead of being retried forever by every surviving worker.
-        poisoned_check = getattr(claims, "poisoned", None) \
-            if claims is not None else None
-
+        total = len({c.fingerprint() for c in conditions})
         settled: Dict[str, ConditionResult] = {}
+
+        def settle(result: ConditionResult,
+                   summary: Optional[RecordingSummary] = None) -> None:
+            condition = result.condition
+            settled[condition.fingerprint()] = result
+            if progress is not None:
+                progress(Progress(len(settled), total, result,
+                                  # simlint: allow[no-wallclock] -- elapsed wall time shown in the progress line
+                                  time.perf_counter() - started))
+            if sink is not None and result.ok:
+                if summary is None:
+                    summary = self.cache.load(condition.label,
+                                              condition.fingerprint())
+                if summary is not None:
+                    sink(condition, summary)
+
         todo: List[Condition] = []
         for condition in conditions:
             fingerprint = condition.fingerprint()
             if fingerprint in settled:
                 continue  # duplicate axis entry: one recording serves both
-            if poisoned_check is not None and \
-                    str(manifest.get(fingerprint, {})
-                        .get("status")) == "poisoned" \
-                    and poisoned_check(fingerprint):
+            record = manifest.get(fingerprint, {})
+            if record.get("status") == "poisoned" and \
+                    claims.poisoned(fingerprint):
                 # Already recorded as quarantined by an earlier worker
                 # (or incarnation); settle without another line.
-                settled[fingerprint] = ConditionResult(
+                settle(ConditionResult(
                     condition, "poisoned",
-                    error=str(manifest[fingerprint].get("error") or
-                              "quarantined"))
+                    error=str(record.get("error") or "quarantined")))
                 continue
             # The manifest says what happened; the cache is the truth.
             # A manifest "ok" whose recording was since pruned must be
             # re-simulated, not reported as resumed.
-            recorded = self.cache.load(condition.label,
-                                       fingerprint) is not None
-            if not recorded:
+            summary = self.cache.load(condition.label, fingerprint)
+            if summary is None:
                 todo.append(condition)
-                continue
-            record = manifest.get(fingerprint)
-            if record is not None and record.get("status") in OK_STATUSES:
-                settled[fingerprint] = ConditionResult(
+            elif record.get("status") in OK_STATUSES:
+                settle(ConditionResult(
                     condition, "resumed",
-                    attempts=int(record.get("attempts", 1)))
-            elif claims is None:
-                result = ConditionResult(condition, "cached")
-                settled[fingerprint] = result
-                self._append_manifest(result)
+                    attempts=int(record.get("attempts", 1))), summary)
             elif claims.committed(fingerprint):
                 # A peer committed this condition after our manifest
                 # snapshot (late-joiner race); its line exists, so
                 # appending a "cached" one would duplicate it.
-                settled[fingerprint] = ConditionResult(
-                    condition, "resumed")
+                settle(ConditionResult(condition, "resumed"), summary)
             else:
                 # Test-synchronisation fire point for the adoption race
                 # regression (see tests/test_distributed.py).
                 faults.fire("pre-adopt", fingerprint=fingerprint)
-                if not claims.adopt(condition):
-                    # An unmanifested recording another joiner is
-                    # adopting right now: exactly one of us appends
-                    # its line.
-                    settled[fingerprint] = ConditionResult(
-                        condition, "resumed")
-                elif claims.committed(fingerprint):
-                    # Adoption race: a peer adopted, appended its
-                    # "cached" line and released between our
-                    # committed() check above and winning this lease —
-                    # appending would duplicate its line. Peers always
-                    # append before releasing, so one re-check while
-                    # *holding* the lease decides for real.
-                    settled[fingerprint] = ConditionResult(
-                        condition, "resumed")
-                    claims.release(condition)
-                else:
-                    result = ConditionResult(condition, "cached")
-                    settled[fingerprint] = result
+                adopted = claims.adopt(condition)
+                # Not adopted: a peer is adopting this unmanifested
+                # recording right now and appends its line. Adopted but
+                # committed: a peer adopted, appended and released
+                # between our committed() check and winning this lease.
+                # Peers always append before releasing, so one re-check
+                # while *holding* the lease decides for real.
+                ours = adopted and not claims.committed(fingerprint)
+                result = ConditionResult(
+                    condition, "cached" if ours else "resumed")
+                if ours:
                     self._append_manifest(result)
+                if adopted:
                     claims.release(condition)
-
-        total = len({c.fingerprint() for c in conditions})
-        done = 0
-
-        def tick(result: ConditionResult) -> None:
-            if progress is not None:
-                progress(Progress(done, total, result,
-                                  # simlint: allow[no-wallclock] -- elapsed wall time shown in the progress line
-                                  time.perf_counter() - started))
-
-        def feed_sink(condition: Condition) -> None:
-            if sink is None:
-                return
-            summary = self.cache.load(condition.label,
-                                      condition.fingerprint())
-            if summary is not None:
-                sink(condition, summary)
-
-        for result in settled.values():
-            done += 1
-            tick(result)
-            feed_sink(result.condition)
+                settle(result, summary)
 
         attempts: Dict[str, int] = {}
+
+        def quarantine(queue: List[Condition]) -> List[Condition]:
+            """Settle the conditions a supervisor poisoned meanwhile
+            (they repeatedly killed workers) as terminal failures;
+            return the rest."""
+            fresh = []
+            for condition in queue:
+                if not claims.poisoned(condition.fingerprint()):
+                    fresh.append(condition)
+                    continue
+                result = ConditionResult(
+                    condition, "poisoned",
+                    attempts=attempts.get(condition.fingerprint(), 0),
+                    error="quarantined: condition repeatedly killed "
+                          "workers (supervisor retry budget exhausted)")
+                # Exactly one worker appends the poisoned line: the
+                # adoption lease arbitrates, like any other append.
+                if claims.adopt(condition):
+                    self._append_manifest(result)
+                    claims.release(condition)
+                settle(result)
+            return fresh
+
         pending = todo
         deferred: List[Condition] = []
-
-        # One worker pool for the whole run: claim-cycling workers used
-        # to fork a fresh pool per claim chunk, paying interpreter/import
-        # startup once per cycle; the pool is created lazily on the
-        # first multi-process batch and reused until the run returns.
-        if processes is None:
-            # Workers beyond the core count only add scheduling overhead
-            # for CPU-bound simulation; an explicit request is honoured.
-            processes = max(1, (os.cpu_count() or 2) - 1)
+        # One worker pool for the whole run, created lazily on the
+        # first multi-process batch and reused across claim cycles.
         worker_pool = None
 
         def shared_pool():
@@ -756,123 +813,72 @@ class Campaign:
 
         try:
             while pending or deferred:
-                if poisoned_check is not None:
-                    fresh_pending, fresh_deferred = [], []
-                    for queue, fresh in ((pending, fresh_pending),
-                                         (deferred, fresh_deferred)):
-                        for condition in queue:
-                            fingerprint = condition.fingerprint()
-                            if not poisoned_check(fingerprint):
-                                fresh.append(condition)
-                                continue
-                            result = ConditionResult(
-                                condition, "poisoned",
-                                attempts=attempts.get(fingerprint, 0),
-                                error="quarantined: condition repeatedly "
-                                      "killed workers (supervisor retry "
-                                      "budget exhausted)")
-                            settled[fingerprint] = result
-                            # Exactly one worker appends the poisoned
-                            # line: the adoption lease arbitrates, like
-                            # any other manifest append.
-                            if claims.adopt(condition):
-                                self._append_manifest(result)
-                                claims.release(condition)
-                            done += 1
-                            tick(result)
-                    pending, deferred = fresh_pending, fresh_deferred
-                    if not pending and not deferred:
-                        break
-                if claims is not None and pending:
-                    pending, theirs = claims.select(pending)
-                    deferred.extend(theirs)
-                failures: List[Tuple[Condition, str, float]] = []
+                pending, deferred = quarantine(pending), quarantine(deferred)
+                pending, theirs = claims.select(pending)
+                deferred.extend(theirs)
+                failures: List[ConditionResult] = []
                 for condition, error, duration in self._execute(
-                        pending, processes, batch_size,
-                        pool=shared_pool):
+                        pending, processes, batch_size, shared_pool):
                     fingerprint = condition.fingerprint()
                     attempts[fingerprint] = attempts.get(fingerprint, 0) + 1
-                    if error is None:
-                        # Crash fault point: the recording is stored, its
-                        # manifest line has not landed — the adoption
-                        # window chaos tests kill workers inside.
-                        faults.fire("condition", fingerprint=fingerprint)
-                        done += 1
+                    if error is not None:
                         result = ConditionResult(
-                            condition, "simulated",
+                            condition, "failed",
                             attempts=attempts[fingerprint],
-                            duration_s=duration)
-                        settled[fingerprint] = result
-                        self._append_manifest(result)
-                        # One read serves both consumers of the summary.
-                        summary = self.cache.load(condition.label,
-                                                  fingerprint) \
-                            if (claims is not None or sink is not None) \
-                            else None
-                        if claims is not None:
-                            claims.release(condition)
-                            if summary is not None:
-                                claims.recorded(condition, summary)
-                        tick(result)
-                        if sink is not None and summary is not None:
-                            sink(condition, summary)
-                        continue
-                    if failure_policy == "abort":
-                        result = ConditionResult(
-                            condition, "failed", attempts=attempts[fingerprint],
                             duration_s=duration, error=error)
-                        self._append_manifest(result)
-                        if claims is not None:
+                        if failure_policy == "abort":
+                            self._append_manifest(result)
                             claims.release(condition)
-                        raise CampaignError(
-                            f"condition {condition.label} failed:\n{error}")
-                    failures.append((condition, error, duration))
-
-                retryable = failure_policy == "retry"
-                pending = []
-                for condition, error, duration in failures:
-                    fingerprint = condition.fingerprint()
-                    if retryable and attempts[fingerprint] <= max_retries:
-                        pending.append(condition)
+                            raise CampaignError(
+                                f"condition {condition.label} "
+                                f"failed:\n{error}")
+                        failures.append(result)
                         continue
+                    # Crash fault point: the recording is stored, its
+                    # manifest line has not landed — the adoption window
+                    # chaos tests kill workers inside.
+                    faults.fire("condition", fingerprint=fingerprint)
                     result = ConditionResult(
-                        condition, "failed", attempts=attempts[fingerprint],
-                        duration_s=duration, error=error)
-                    settled[fingerprint] = result
+                        condition, "simulated",
+                        attempts=attempts[fingerprint], duration_s=duration)
                     self._append_manifest(result)
-                    if claims is not None:
-                        claims.release(condition)
-                    done += 1
-                    tick(result)
+                    claims.release(condition)
+                    # One read serves the sink and the claims hook;
+                    # without a sink the hook loads it only if it must.
+                    summary = self.cache.load(condition.label,
+                                              fingerprint) \
+                        if sink is not None else None
+                    claims.recorded(condition, summary)
+                    settle(result, summary)
 
-                if claims is not None and deferred and not pending:
+                pending = []
+                for result in failures:
+                    if failure_policy == "retry" and \
+                            result.attempts <= max_retries:
+                        pending.append(result.condition)
+                        continue
+                    self._append_manifest(result)
+                    claims.release(result.condition)
+                    settle(result)
+
+                if deferred and not pending:
                     # Out of our own work: poll conditions other workers
                     # hold. Ones they recorded settle as "shared" (their
-                    # manifest line, our sink feed); stale leases come back
-                    # to us for re-simulation.
+                    # manifest line, our sink feed); stale leases come
+                    # back to us for re-simulation.
                     settled_elsewhere, reclaimed, deferred = \
                         claims.wait(deferred)
                     for condition in settled_elsewhere:
-                        fingerprint = condition.fingerprint()
-                        done += 1
-                        result = ConditionResult(condition, "shared")
-                        settled[fingerprint] = result
-                        tick(result)
-                        feed_sink(condition)
+                        settle(ConditionResult(condition, "shared"))
                     pending.extend(reclaimed)
         finally:
             if worker_pool is not None:
                 worker_pool.terminate()
                 worker_pool.join()
 
-        ordered, seen = [], set()
-        for condition in conditions:
-            fingerprint = condition.fingerprint()
-            if fingerprint not in seen:
-                seen.add(fingerprint)
-                ordered.append(settled[fingerprint])
+        order = dict.fromkeys(c.fingerprint() for c in conditions)
         return CampaignResult(
-            spec=self.spec, results=ordered,
+            spec=self.spec, results=[settled[fp] for fp in order],
             manifest_path=self.manifest_path,
             # simlint: allow[no-wallclock] -- campaign duration reported to the user, not simulation input
             duration_s=time.perf_counter() - started,
@@ -881,24 +887,18 @@ class Campaign:
     def _execute(
         self,
         conditions: Sequence[Condition],
-        processes: Optional[int],
-        batch_size: Optional[int] = None,
-        pool=None,
+        processes: int,
+        batch_size: Optional[int],
+        pool: Callable[[], "multiprocessing.pool.Pool"],
     ) -> Iterator[Tuple[Condition, Optional[str], float]]:
         """Yield ``(condition, error, duration)`` as conditions settle.
 
-        ``pool`` is an optional zero-argument callable returning a
-        shared worker pool (see :meth:`run`); without it a fresh pool is
-        created and torn down for this call.
+        ``pool`` returns the run's shared worker pool (see :meth:`run`);
+        it is only called when more than one process is used.
         """
         if not conditions:
             return  # claim-wait poll cycles pass empty batches
-        if processes is None:
-            # Workers beyond the core count only add scheduling overhead
-            # for CPU-bound simulation; an explicit request is honoured.
-            processes = max(1, (os.cpu_count() or 2) - 1)
         processes = min(processes, len(conditions))
-
         if processes <= 1:
             _init_worker(str(self.cache.directory))
             for index, condition in enumerate(conditions):
@@ -918,22 +918,9 @@ class Campaign:
             batch_size = max(1, -(-len(payloads) // (processes * 4)))
         batches = [payloads[i:i + batch_size]
                    for i in range(0, len(payloads), batch_size)]
-        if pool is not None:
-            for results in pool().imap_unordered(_run_condition_batch,
-                                                 batches):
-                for index, error, duration in results:
-                    yield conditions[index], error, duration
-            return
-        processes = min(processes, len(batches))
-        with pool_context().Pool(
-            processes=processes,
-            initializer=_init_worker,
-            initargs=(str(self.cache.directory),),
-        ) as ephemeral:
-            for results in ephemeral.imap_unordered(_run_condition_batch,
-                                                    batches):
-                for index, error, duration in results:
-                    yield conditions[index], error, duration
+        for results in pool().imap_unordered(_run_condition_batch, batches):
+            for index, error, duration in results:
+                yield conditions[index], error, duration
 
     # -- results -------------------------------------------------------------
 

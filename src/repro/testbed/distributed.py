@@ -76,6 +76,7 @@ from repro.testbed.campaign import (
     Condition,
     ProgressCallback,
     SummarySink,
+    default_processes,
     spec_from_json,
 )
 from repro.testbed.store import (
@@ -85,6 +86,7 @@ from repro.testbed.store import (
     QUARANTINE_DIRNAME,
     StaleCampaignError,
     SummaryStore,
+    atomic_write_text,
     seal_record,
 )
 
@@ -319,7 +321,7 @@ class _HeartbeatThread(threading.Thread):
 
 
 class ClaimQueue:
-    """The ``claims`` hook :meth:`Campaign.run` drives (see its docs).
+    """The cooperative :class:`~repro.testbed.campaign.ClaimProtocol`.
 
     Bridges the campaign's work queue to a :class:`LeaseManager` and an
     optional :class:`PartialAggregator`: ``select`` acquires leases
@@ -408,6 +410,13 @@ class ClaimQueue:
         return (self._campaign.campaign_dir / QUARANTINE_DIRNAME /
                 fingerprint).exists()
 
+    def _acquire(self, fingerprint: str) -> bool:
+        """Win the condition's lease, breaking a stale one first."""
+        if self._leases.acquire(fingerprint):
+            return True
+        self._leases.break_stale(fingerprint)
+        return self._leases.acquire(fingerprint)
+
     def adopt(self, condition: Condition) -> bool:
         """Claim an orphaned recording (cache hit, no manifest line).
 
@@ -416,11 +425,7 @@ class ClaimQueue:
         "cached" manifest line; the rest see False and settle the
         condition as resumed. Release after appending, like any lease.
         """
-        fingerprint = condition.fingerprint()
-        if self._leases.acquire(fingerprint):
-            return True
-        self._leases.break_stale(fingerprint)
-        return self._leases.acquire(fingerprint)
+        return self._acquire(condition.fingerprint())
 
     def select(
         self, conditions: Sequence[Condition],
@@ -441,11 +446,17 @@ class ClaimQueue:
                 # the next wait() settles it as shared.
                 deferred.append(condition)
                 continue
-            if not self._leases.acquire(fingerprint):
-                self._leases.break_stale(fingerprint)
-                if not self._leases.acquire(fingerprint):
-                    deferred.append(condition)
-                    continue
+            if not self._acquire(fingerprint):
+                deferred.append(condition)
+                continue
+            if self.committed(fingerprint):
+                # A peer appended its line and released its lease
+                # between the snapshot above and our winning that lease.
+                # Peers append before releasing, so this re-check while
+                # *holding* the lease decides for real.
+                self._leases.release(fingerprint)
+                deferred.append(condition)
+                continue
             mine.append(condition)
         return mine, deferred
 
@@ -542,8 +553,7 @@ class PartialAggregator:
 
     def flush(self) -> None:
         self._unflushed = 0
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(seal_record({
+        atomic_write_text(self.path, json.dumps(seal_record({
             "worker": self.worker_id,
             "sim_behaviour": harness.SIM_BEHAVIOUR_VERSION,
             "campaign_fingerprint": self._campaign.spec.fingerprint(),
@@ -551,12 +561,7 @@ class PartialAggregator:
             "report": self.report.to_state(),
             # simlint: allow[no-wallclock] -- partial-aggregate provenance stamp for humans, not simulation input
             "at": time.time(),
-        }), indent=1)
-        tmp = self.path.with_name(
-            # simlint: allow[no-ambient-rng] -- per-writer unique temp name for the atomic replace; never feeds simulation bytes
-            f".{self.path.name}.{uuid.uuid4().hex[:8]}.tmp")
-        tmp.write_text(payload)
-        os.replace(tmp, self.path)
+        }), indent=1))
 
     def close(self) -> None:
         """Final flush — but only if this worker recorded anything."""
@@ -651,9 +656,8 @@ def run_worker(
     campaign.worker = worker_id
     campaign.write_spec()
     if claim_chunk is None:
-        pool = processes if processes is not None \
-            else max(1, (os.cpu_count() or 2) - 1)
-        claim_chunk = 2 * max(1, pool)
+        claim_chunk = 2 * max(1, default_processes()
+                              if processes is None else processes)
     leases = LeaseManager(campaign.campaign_dir, worker_id, lease)
     partial = PartialAggregator(campaign, worker_id, report=report,
                                 flush_every=flush_every)

@@ -27,7 +27,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import fmean
@@ -256,21 +255,11 @@ class RecordingCache:
 
     def store(self, label: str, fingerprint: str,
               summary: RecordingSummary) -> Path:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(label, fingerprint)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=path.name + ".", suffix=".tmp", dir=self.directory)
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(summary.to_json(), handle)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
+        # Imported here: repro.testbed.store imports this module.
+        from repro.testbed.store import atomic_write_text
+
+        return atomic_write_text(self.path_for(label, fingerprint),
+                                 json.dumps(summary.to_json()))
 
 
 def produce_summary(

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import tempfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -148,6 +149,33 @@ def append_record(path: Union[str, Path],
     with open(path, "a") as handle:
         handle.write(prefix + line)
         handle.flush()
+
+
+def atomic_write_text(path: Union[str, Path], text: str) -> Path:
+    """Publish ``text`` as ``path`` in one step.
+
+    The text goes to a private temp file in the same directory (unique
+    per writer, removed again if the write fails) and is renamed into
+    place, so readers and concurrent writers on a shared filesystem see
+    the old file or the new one, never a torn mix. Cache recordings,
+    ``spec.json`` and the worker and study partials are written this
+    way.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp",
+                               dir=path.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    return path
 
 
 def read_jsonl(

@@ -5,11 +5,11 @@ reclaimed after a TTL — but nothing *respawns* a dead worker, a hung
 host ties up its claims for a full TTL with no operator signal, and a
 condition that reliably kills whoever touches it would be retried
 forever. The :class:`Supervisor` closes those gaps for the single-host
-many-process case (``repro campaign --supervise N``):
+many-process case (``repro campaign --workers N``):
 
 * spawns N joiner subprocesses over one campaign directory, each a
   full :func:`~repro.testbed.distributed.run_worker` with its own
-  lease heartbeat;
+  lease heartbeat and an even share of the CPUs;
 * watches exit codes and lease heartbeats: a clean exit (0/2) retires
   the slot, anything else — including the fault injector's
   :data:`~repro.testbed.faults.CRASH_EXIT_CODE` and a live-but-stalled
@@ -19,7 +19,11 @@ many-process case (``repro campaign --supervise N``):
   worker died holding;
 * respawns the slot with capped exponential backoff, as incarnation
   ``w0.r1``, ``w0.r2``, ... — fault plans address incarnations, so an
-  injected ``crash:w0@1`` fires once rather than crash-looping;
+  injected ``crash:w0@1`` fires once rather than crash-looping. On
+  disk (leases, manifest lines, partials) a worker is
+  ``<base>-<incarnation>``, where the base is ``--worker-id`` or
+  ``<host>-<pid>`` of the supervisor, so fleets on different hosts
+  sharing one directory never collide;
 * a fingerprint blamed ``retry_budget`` times is **quarantined**: a
   ``quarantine/<fingerprint>`` marker makes every worker settle it as
   ``poisoned`` (see :meth:`ClaimQueue.poisoned`) instead of letting a
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import sys
 import time
 import traceback
@@ -47,11 +52,17 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.testbed import faults
-from repro.testbed.campaign import pool_context
+from repro.testbed.campaign import (
+    CampaignError,
+    default_processes,
+    pool_context,
+)
 from repro.testbed.distributed import (
     LeaseConfig,
+    default_worker_id,
     join_campaign,
     run_worker,
+    sanitize_worker_id,
 )
 from repro.testbed.store import (
     CLAIMS_DIRNAME,
@@ -82,23 +93,25 @@ def _supervised_entry(
     campaign_dir: str,
     cache_dir: Optional[str],
     worker_id: str,
+    incarnation: str,
     plan_text: Optional[str],
     lease_kwargs: Dict[str, float],
     run_kwargs: Dict[str, object],
 ) -> None:
     """Child-process body of one supervised worker incarnation.
 
-    Installs the fault plan addressed to this incarnation *before* any
-    campaign I/O, joins the shared directory and runs one cooperative
-    worker. Exit status is the supervisor's liveness protocol: 0 all
-    conditions ok, 2 finished with failed/poisoned conditions, 3 the
-    worker itself errored; an injected kill exits
+    Installs the fault plan addressed to this ``incarnation`` *before*
+    any campaign I/O, joins the shared directory and runs one
+    cooperative worker as ``worker_id``. Exit status is the
+    supervisor's liveness protocol: 0 all conditions ok, 2 finished
+    with failed/poisoned conditions or stopped by ``failure_policy=
+    "abort"``, 3 the worker itself errored; an injected kill exits
     :data:`~repro.testbed.faults.CRASH_EXIT_CODE` via ``os._exit``.
     """
     try:
         if plan_text:
             faults.install(faults.FaultPlan.parse(plan_text),
-                           worker=worker_id)
+                           worker=incarnation)
         campaign = join_campaign(campaign_dir, cache_dir=cache_dir,
                                  worker=worker_id)
         result = run_worker(
@@ -107,6 +120,11 @@ def _supervised_entry(
             lease=LeaseConfig(**lease_kwargs),
             **run_kwargs,
         )
+    except CampaignError as error:
+        # A deliberate stop: the failure is in the manifest, and a
+        # respawn would only run the failing condition again.
+        print(f"worker {worker_id}: {error}", file=sys.stderr)
+        sys.exit(2)
     except Exception:
         traceback.print_exc()
         sys.exit(3)
@@ -180,6 +198,11 @@ class Supervisor:
     pathological crash loops the budget cannot attribute);
     ``backoff_base``/``backoff_max`` shape the respawn delay
     ``min(backoff_max, backoff_base * 2**respawns_so_far)``.
+    ``worker_id`` is the base of every worker id this fleet stamps on
+    disk (default :func:`~repro.testbed.distributed.default_worker_id`
+    of the supervisor). ``run_kwargs`` go to each worker's
+    :func:`~repro.testbed.distributed.run_worker`; without
+    ``processes`` the workers split the CPUs evenly.
     """
 
     def __init__(
@@ -194,6 +217,7 @@ class Supervisor:
         backoff_base: float = 0.25,
         backoff_max: float = 5.0,
         run_kwargs: Optional[Dict[str, object]] = None,
+        worker_id: Optional[str] = None,
     ):
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
@@ -210,6 +234,10 @@ class Supervisor:
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
         self.run_kwargs = dict(run_kwargs or {})
+        if self.run_kwargs.get("processes") is None:
+            self.run_kwargs["processes"] = default_processes(workers)
+        self.worker_id = sanitize_worker_id(
+            worker_id if worker_id is not None else default_worker_id())
         self._blame: Dict[str, int] = {}
 
     # -- lease forensics -----------------------------------------------------
@@ -310,69 +338,85 @@ class Supervisor:
     # -- the supervision loop ------------------------------------------------
 
     def _spawn(self, slot: str, respawns: int):
-        worker_id = slot if respawns == 0 else f"{slot}.r{respawns}"
+        incarnation = slot if respawns == 0 else f"{slot}.r{respawns}"
+        worker_id = sanitize_worker_id(f"{self.worker_id}-{incarnation}")
         plan_text = self.plan.describe() if self.plan else None
         process = pool_context().Process(
             target=_supervised_entry,
             name=f"repro-worker-{worker_id}",
             args=(str(self.campaign_dir), self.cache_dir, worker_id,
-                  plan_text,
+                  incarnation, plan_text,
                   {"ttl_s": self.lease.ttl_s,
                    "heartbeat_s": self.lease.heartbeat_s,
                    "poll_s": self.lease.poll_s},
                   self.run_kwargs),
         )
         process.start()
-        return worker_id, process
+        return incarnation, worker_id, process
 
     def run(self) -> SupervisorReport:
-        """Supervise until every slot retires (or is given up on)."""
+        """Supervise until every slot retires (or is given up on).
+
+        If the supervisor itself is interrupted, it stops its live
+        workers before returning the exception: SIGINT first, so each
+        unwinds through its own pool and lease cleanup, then a
+        terminate for any that do not exit in time.
+        """
         report = SupervisorReport(workers=self.workers)
-        # slot -> (worker_id, process, respawns so far)
-        live: Dict[str, Tuple[str, object, int]] = {}
-        for index in range(self.workers):
-            slot = f"w{index}"
-            worker_id, process = self._spawn(slot, 0)
-            live[slot] = (worker_id, process, 0)
-        while live:
-            time.sleep(self.lease.poll_s)
-            for slot in list(live):
-                worker_id, process, respawns = live[slot]
-                stalled = False
+        # slot -> (incarnation, worker_id, process, respawns so far)
+        live: Dict[str, Tuple[str, str, object, int]] = {}
+        try:
+            for index in range(self.workers):
+                slot = f"w{index}"
+                live[slot] = (*self._spawn(slot, 0), 0)
+            while live:
+                time.sleep(self.lease.poll_s)
+                for slot in list(live):
+                    self._check(slot, live, report)
+        finally:
+            children = [process for _, _, process, _ in live.values()]
+            for process in children:
                 if process.is_alive():
-                    if not self._worker_stalled(worker_id):
-                        continue
-                    stalled = True
+                    os.kill(process.pid, signal.SIGINT)
+            for process in children:
+                process.join(timeout=10)
+                if process.is_alive():
                     process.terminate()
-                    process.join(timeout=self.lease.ttl_s)
-                    if process.is_alive():
-                        process.kill()
-                        process.join()
-                else:
                     process.join()
-                del live[slot]
-                exit_code = process.exitcode
-                exit_ = WorkerExit(slot=slot, worker_id=worker_id,
-                                   exit_code=exit_code, stalled=stalled)
-                if not exit_.crashed:
-                    report.exits.append(exit_)
-                    continue
-                exit_.blamed = tuple(
-                    self._blame_leases(worker_id, process.pid))
-                report.exits.append(exit_)
-                report.quarantined.extend(
-                    self._quarantine_over_budget())
-                if respawns >= self.max_respawns:
-                    report.gave_up.append(slot)
-                    continue
-                delay = min(self.backoff_max,
-                            self.backoff_base * (2 ** respawns))
-                time.sleep(delay)
-                report.respawns += 1
-                worker_id, process = self._spawn(slot, respawns + 1)
-                live[slot] = (worker_id, process, respawns + 1)
         report.quarantined = sorted(set(report.quarantined))
         return report
+
+    def _check(self, slot: str, live: Dict[str, Tuple[str, str, object, int]],
+               report: SupervisorReport) -> None:
+        """Classify one slot's child; retire or respawn it once it ended."""
+        incarnation, worker_id, process, respawns = live[slot]
+        stalled = False
+        if process.is_alive():
+            if not self._worker_stalled(worker_id):
+                return
+            stalled = True
+            process.terminate()
+            process.join(timeout=self.lease.ttl_s)
+            if process.is_alive():
+                process.kill()
+                process.join()
+        else:
+            process.join()
+        del live[slot]
+        exit_ = WorkerExit(slot=slot, worker_id=incarnation,
+                           exit_code=process.exitcode, stalled=stalled)
+        report.exits.append(exit_)
+        if not exit_.crashed:
+            return
+        exit_.blamed = tuple(self._blame_leases(worker_id, process.pid))
+        report.quarantined.extend(self._quarantine_over_budget())
+        if respawns >= self.max_respawns:
+            report.gave_up.append(slot)
+            return
+        time.sleep(min(self.backoff_max,
+                       self.backoff_base * (2 ** respawns)))
+        report.respawns += 1
+        live[slot] = (*self._spawn(slot, respawns + 1), respawns + 1)
 
 
 # -- one-shot health report ---------------------------------------------------

@@ -100,18 +100,19 @@ class TestChaosMatrix:
         assert render_grid(merged) == reference_render
 
 
-def _hang_if_w0(campaign_dir, cache_dir, worker_id, plan_text,
-                lease_kwargs, run_kwargs):
+def _hang_if_w0(campaign_dir, cache_dir, worker_id, incarnation,
+                plan_text, lease_kwargs, run_kwargs):
     """Entry shim: slot w0's first incarnation plays a hung host —
     grabs a claim, then sleeps without ever heartbeating. Respawned
     incarnations (and w1) run the real worker."""
-    if worker_id == "w0":
-        leases = LeaseManager(Path(campaign_dir), "w0",
+    if incarnation == "w0":
+        leases = LeaseManager(Path(campaign_dir), worker_id,
                               LeaseConfig(**lease_kwargs))
         assert leases.acquire("hung-condition")
         time.sleep(600)
     supervisor_module._real_entry(campaign_dir, cache_dir, worker_id,
-                                  plan_text, lease_kwargs, run_kwargs)
+                                  incarnation, plan_text, lease_kwargs,
+                                  run_kwargs)
 
 
 class TestStallKill:

@@ -623,6 +623,39 @@ class TestDistributedCli:
                   "--stacks", "TCP", "--runs", "1", "--workers", "1",
                   "--claim-chunk", "0",
                   "--cache-dir", str(tmp_path / "cache")])
+        assert not (tmp_path / "cache").exists()  # nothing was spawned
+
+    def test_cli_workers_leave_plain_run_bytes(self, tmp_path, capsys):
+        """A fault-free ``--workers 2`` fleet records byte-identical
+        cache files to a plain run, with exactly one manifest line per
+        fingerprint, and its workers' partials follow the report
+        flags."""
+        from repro.cli import main
+
+        grid = ["campaign", "--sites", "gov.uk", "--networks", "DSL",
+                "--stacks", "TCP", "QUIC", "--seeds", "5", "6",
+                "--runs", "1", "--processes", "1", "--quiet",
+                "--name", "fleet-bytes"]
+        assert main(grid + ["--cache-dir", str(tmp_path / "plain")]) == 0
+        assert main(grid + ["--cache-dir", str(tmp_path / "fleet"),
+                            "--workers", "2", "--claim-chunk", "1",
+                            "--lease-poll", "0.05", "--report",
+                            "--pivot", "seed,stack"]) == 0
+        captured = capsys.readouterr()
+        assert "cannot merge worker partials" not in captured.err
+        assert "seed" in captured.out and "±" in captured.out
+
+        def recordings(name):
+            return {path.name: path.read_bytes()
+                    for path in (tmp_path / name).glob("*.json")}
+
+        plain = recordings("plain")
+        assert len(plain) == 4
+        assert recordings("fleet") == plain
+        campaign_dir, = (tmp_path / "fleet" / "campaigns").iterdir()
+        fingerprints = [json.loads(line)["fingerprint"] for line
+                        in open(campaign_dir / "manifest.jsonl")]
+        assert len(fingerprints) == len(set(fingerprints)) == 4
 
 
 class TestAtomicAcquire:
@@ -671,6 +704,44 @@ class TestAtomicAcquire:
         # The losing acquire must not have disturbed the holder.
         assert winner.holds("fp")
         assert loser.holder("fp")["worker"] == "w0"
+
+
+class TestSelectRace:
+    """Regression: ``select`` read the manifest tail, then raced for
+    leases. A peer that appended its line and released its lease in
+    between lost that lease to us, and the condition ran again: a cache
+    hit settled as "simulated", so a duplicate manifest line landed.
+    The fix re-checks ``committed()`` while *holding* the lease."""
+
+    def test_peer_commit_after_snapshot_is_deferred(self, tmp_path,
+                                                    monkeypatch):
+        spec = _spec("select-race")
+        ours = Campaign(spec, cache_dir=tmp_path)
+        ours.write_spec()
+        peer = Campaign(spec, cache_dir=tmp_path, worker="peer")
+        condition = spec.conditions()[0]
+        leases = LeaseManager(ours.campaign_dir, "us", FAST)
+        queue = ClaimQueue(ours, leases)
+        snapshot = queue._refresh_committed
+        committed = []
+
+        def snapshot_then_peer_commits():
+            snapshot()
+            if not committed:
+                # Deterministic interleaving: the peer appends its line
+                # and releases its lease right after our snapshot.
+                committed.append(condition.fingerprint())
+                peer._append_manifest(
+                    ConditionResult(condition, "simulated"))
+
+        monkeypatch.setattr(queue, "_refresh_committed",
+                            snapshot_then_peer_commits)
+        mine, deferred = queue.select([condition])
+        assert committed and mine == [] and deferred == [condition]
+        assert not leases.holds(condition.fingerprint())
+        assert not leases.path(condition.fingerprint()).exists()
+        # The next poll settles it as the peer's.
+        assert queue.wait(deferred) == ([condition], [], [])
 
 
 class TestAdoptionRace:

@@ -1,13 +1,19 @@
 """SummaryStore: streaming results path, live and post-hoc."""
 
 import json
+import os
 
 import pytest
 
 import repro.testbed.campaign as campaign_mod
 import repro.testbed.harness as harness_mod
 from repro.testbed.campaign import Campaign, CampaignSpec
-from repro.testbed.store import ConditionKey, StaleCampaignError, SummaryStore
+from repro.testbed.store import (
+    ConditionKey,
+    StaleCampaignError,
+    SummaryStore,
+    atomic_write_text,
+)
 
 GRID = dict(sites=["gov.uk"], networks=["DSL"], stacks=["TCP", "QUIC"],
             seeds=[5, 6], runs=2)
@@ -278,3 +284,38 @@ class TestPostHoc:
         assert "DSL" in out
         assert "TCP" in out and "QUIC" in out
         assert "±" in out
+
+
+class TestAtomicWriteText:
+    """The one publish helper: a failed write leaves the old file and no
+    temp file; concurrent writers of one path never share a temp."""
+
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(
+            self, tmp_path, monkeypatch):
+        target = tmp_path / "study_partials" / "shard.json"
+        atomic_write_text(target, "old")
+
+        def full_disk(*args, **kwargs):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        with pytest.raises(OSError):
+            atomic_write_text(target, "new")
+        assert target.read_text() == "old"
+        assert [path.name for path in target.parent.iterdir()] == \
+            ["shard.json"]
+
+    def test_writers_use_private_temp_files(self, tmp_path, monkeypatch):
+        temps = []
+        real_replace = os.replace
+
+        def spying_replace(src, dst):
+            temps.append(src)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spying_replace)
+        target = tmp_path / "shard.json"
+        atomic_write_text(target, "a")
+        atomic_write_text(target, "b")
+        assert target.read_text() == "b"
+        assert len(set(temps)) == 2

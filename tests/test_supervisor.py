@@ -198,6 +198,91 @@ class TestQuarantine:
         assert len(lines) == len({l["fingerprint"] for l in lines})
 
 
+class TestAbortRetiresSlot:
+    """Regression: a worker stopped by ``failure_policy="abort"`` exited
+    3, a crash, so the supervisor respawned the slot and every
+    incarnation re-ran the failing condition (4 attempts and 4 failed
+    lines at ``max_respawns=3``). An abort now exits 2 and retires."""
+
+    def test_abort_is_not_respawned(self, tmp_path, monkeypatch):
+        import repro.testbed.campaign as campaign_mod
+
+        def always_fail(*args, **kwargs):
+            raise RuntimeError("condition always fails")
+
+        # Forked workers inherit the patch.
+        monkeypatch.setattr(campaign_mod, "produce_summary", always_fail)
+        campaign = Campaign(CampaignSpec(
+            name="abort", sites=["gov.uk"], networks=["DSL"],
+            stacks=["TCP"], seeds=[5], runs=1), cache_dir=tmp_path)
+        campaign.write_spec()
+        outcome = Supervisor(
+            campaign.campaign_dir,
+            workers=1,
+            cache_dir=tmp_path,
+            lease=FAST,
+            max_respawns=3,
+            backoff_base=0.05,
+            run_kwargs=dict(failure_policy="abort", processes=1),
+        ).run()
+        assert (outcome.crashes, outcome.respawns) == (0, 0)
+        assert [e.exit_code for e in outcome.exits] == [2]
+        assert not outcome.ok
+        assert [line["status"] for line in _manifest_lines(campaign)] \
+            == ["failed"]
+
+
+class TestFleetWorkerIds:
+    """Regression: every supervised fleet named its workers ``w0``,
+    ``w1``, ..., so two fleets on one directory (two hosts, each with
+    its own supervisor) stamped the same ids, overwrote each other's
+    ``partials/`` shard and could delete each other's live leases.
+    Ids are now ``<base>-<incarnation>``."""
+
+    def test_two_fleets_on_one_dir_keep_distinct_ids(self, tmp_path):
+        import threading
+
+        campaign = Campaign(_spec("fleets"), cache_dir=tmp_path)
+        campaign.write_spec()
+
+        def fleet(base):
+            Supervisor(
+                campaign.campaign_dir,
+                workers=1,
+                cache_dir=tmp_path,
+                lease=FAST,
+                backoff_base=0.05,
+                run_kwargs=dict(processes=1, claim_chunk=1,
+                                flush_every=1),
+                worker_id=base,
+            ).run()
+
+        threads = [threading.Thread(target=fleet, args=(base,))
+                   for base in ("hostA", "hostB")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+
+        lines = _manifest_lines(campaign)
+        fingerprints = [line["fingerprint"] for line in lines]
+        assert len(fingerprints) == len(set(fingerprints)) == 4
+        stamped = {}
+        for line in lines:
+            stamped.setdefault(line["worker"], set()).add(
+                line["fingerprint"])
+        assert set(stamped) <= {"hostA-w0", "hostB-w0"}
+        partials = campaign.campaign_dir / "partials"
+        shards = {path.stem: set(json.loads(path.read_text())
+                                 ["fingerprints"])
+                  for path in partials.glob("*.json")}
+        # Each worker's shard covers exactly the lines it stamped.
+        assert shards == stamped
+        merged = merge_partial_reports(campaign.campaign_dir,
+                                       cache_dir=tmp_path)
+        assert not merged.degraded
+
+
 class TestSupervisorValidation:
     def test_rejects_bad_parameters(self, tmp_path):
         with pytest.raises(ValueError, match="worker"):
@@ -248,18 +333,11 @@ class TestStatusCli:
         assert status["conditions"]["done"] == 1
         assert status["quarantined"] == []
 
-    def test_cli_supervise_conflicts_with_workers(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit, match="--supervise conflicts"):
-            main(["campaign", "--supervise", "2", "--workers", "2",
-                  "--cache-dir", str(tmp_path)])
-
     def test_cli_bad_fault_plan_rejected(self, tmp_path):
         from repro.cli import main
 
         with pytest.raises(SystemExit, match="inject-faults"):
-            main(["campaign", "--supervise", "1", "--inject-faults",
+            main(["campaign", "--workers", "2", "--inject-faults",
                   "explode:w0@1", "--cache-dir", str(tmp_path)])
 
 
