@@ -36,6 +36,7 @@ whose shards share a block refuse to merge.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -347,7 +348,7 @@ class StudyPartial:
             "kind": "study-partial",
             "version": 1,
             "sim_behaviour": SIM_BEHAVIOUR_VERSION,
-            "config": dict(self.config),
+            "config": copy.deepcopy(self.config),
             "shards": [list(s) for s in self.shards],
             "funnels": self.funnels.to_json(),
             "ab_votes": self.ab_votes.to_json(),
@@ -375,7 +376,7 @@ class StudyPartial:
                 raise ValueError(f"study partial shard {shard!r} is not "
                                  f"[index, step] with 0 <= index < step")
         partial = cls(
-            config=dict(state["config"]),
+            config=copy.deepcopy(state["config"]),
             shards=[list(shard) for shard in state["shards"]],
             funnels=CountTable.from_json(state["funnels"]),
             ab_votes=CountTable.from_json(state["ab_votes"]),

@@ -166,7 +166,8 @@ class QuicEndpoint:
         #: reinserted), which loss detection exploits to stop scanning at
         #: ``largest_acked``.
         self._sent: Dict[int, _SentPacket] = {}
-        #: Packet numbers already processed from ACK frames. QUIC ACKs
+        #: Packet numbers already processed from ACK frames (only those at
+        #: or above the oldest packet then outstanding). QUIC ACKs
         #: re-report (nearly) the whole received history every time;
         #: tracking what was handled keeps ACK processing proportional to
         #: the *newly* acked packets only.
@@ -370,13 +371,23 @@ class QuicEndpoint:
         now = self._loop.now
         if payload.max_data:
             self._peer_max_data = max(self._peer_max_data, payload.max_data)
+        if not self._sent:
+            return
+        # Packet numbers are never reused, so nothing below the oldest
+        # outstanding packet can be newly acked. Ranges arrive newest
+        # first: stop at the first one wholly below that floor.
+        floor = next(iter(self._sent))
         newly_acked: List[_SentPacket] = []
         largest_newly = 0
         acked_pkts = self._acked_pkts
         for lo, hi in payload.ack_ranges:
+            if hi <= floor:
+                break
             # An ACK frame re-reports everything ever received; only the
             # never-before-seen sub-ranges can hold outstanding packets.
-            for gap_lo, gap_hi in acked_pkts.missing_within(lo, hi):
+            for gap_lo, gap_hi in acked_pkts.missing_within(max(lo, floor),
+                                                            hi):
+                acked_pkts.add(gap_lo, gap_hi)
                 for pkt_num in range(gap_lo, gap_hi):
                     sent = self._sent.pop(pkt_num, None)
                     if sent is None:
@@ -384,7 +395,6 @@ class QuicEndpoint:
                     newly_acked.append(sent)
                     if pkt_num > largest_newly:
                         largest_newly = pkt_num
-            acked_pkts.add(lo, hi)
         if not newly_acked:
             return
         self._largest_acked = max(self._largest_acked, largest_newly)
@@ -596,9 +606,7 @@ class QuicEndpoint:
             return
         self._ack_pending = 0
         ranges = tuple(
-            (s, e) for s, e in
-            self._received_pkts.newest_first(self._stack.max_sack_ranges)
-        )
+            self._received_pkts.newest_first(self._stack.max_sack_ranges))
         payload = QuicPacketPayload(
             kind="ack",
             direction=self._direction,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.netem.engine import EventLoop, ScheduledEvent
 from repro.netem.flowid import FlowIdAllocator
@@ -91,6 +91,24 @@ class SenderStats:
     rto_count: int = 0
     fast_retransmits: int = 0
     loss_events: int = 0
+
+
+def sack_holes(sacked: RangeSet,
+               snd_una: int) -> Iterator[Tuple[int, int, int]]:
+    """``(start, end, sacked_above)`` per scoreboard hole, lowest first.
+
+    ``sacked_above`` is the number of SACKed bytes above the hole. The
+    scoreboard must hold nothing below ``snd_una`` (the cumulative ACK
+    removes it), so everything between ``snd_una`` and the first hole,
+    and between consecutive holes, is SACKed: one ascending pass keeps
+    the running total, instead of summing the scoreboard per hole.
+    """
+    above = sacked.covered_bytes()
+    cursor = snd_una
+    for start, end in sacked.missing_within(snd_una, sacked.highest()):
+        above -= start - cursor
+        cursor = end
+        yield start, end, above
 
 
 class TcpSender:
@@ -331,7 +349,8 @@ class TcpSender:
             # within the block) drive both the gained-byte accounting and
             # the incremental delivery sampling below.
             gaps = self._sacked.missing_within(max(start, self.snd_una), end)
-            self._sacked.add(max(start, self.snd_una), end)
+            for gap_start, gap_end in gaps:
+                self._sacked.add(gap_start, gap_end)
             self._retx_in_flight.remove(start, end)
             gained = sum(e - s for s, e in gaps)
             if gained > 0:
@@ -443,13 +462,12 @@ class TcpSender:
         if not self._sacked:
             return
         self._expire_stale_retransmissions(now)
-        highest_sacked = self._sacked.highest()
         threshold = DUP_THRESH_BYTES_FACTOR * self.mss
         newly_lost = 0
-        for start, end in self._sacked.missing_within(self.snd_una, highest_sacked):
-            sacked_above = self._bytes_sacked_above(end)
+        for start, end, sacked_above in sack_holes(self._sacked,
+                                                   self.snd_una):
             if sacked_above < threshold:
-                continue
+                break  # holes ascend, so the SACKed bytes above only shrink
             # Only mark sub-ranges whose retransmission is not still in
             # flight; re-marking in-flight retransmissions causes a
             # retransmission storm.
@@ -465,9 +483,6 @@ class TcpSender:
                 self._recovery_point = self.snd_nxt
                 self.stats.loss_events += 1
                 self.cc.on_loss_event(now, newly_lost, self._pipe())
-
-    def _bytes_sacked_above(self, offset: int) -> int:
-        return sum(max(0, e - max(s, offset)) for s, e in self._sacked)
 
     def _expire_stale_retransmissions(self, now: float) -> None:
         """RACK-style: a retransmission unacked after ~1.25 srtt was lost.

@@ -7,22 +7,30 @@ grid used to pin that down — both stacks, a clean and a lossy network,
 two seeds — and the summary serialisation compared against the committed
 fixture ``tests/data/equivalence_grid.json``.
 
-Both the fixture and the event-budget file record the
+The fixture and the two budget files record the
 ``SIM_BEHAVIOUR_VERSION`` they were generated under; a tier-1 guard test
 fails when that disagrees with the running simulator, so an intentional
 behaviour change cannot land without regenerating them. To regenerate
-both files (atomically, in one command) after bumping the version::
+all three files (atomically, in one command) after bumping the version::
 
     PYTHONPATH=src python -m tests.equivalence_grid --regen
 
 (``PYTHONPATH=src:tests python -m equivalence_grid --regen`` is
-equivalent.) ``--check`` / ``--budget-check`` verify without writing;
-``--write`` / ``--budget-write`` regenerate one file each.
+equivalent.) ``--check`` / ``--budget-check`` / ``--work-check`` verify
+without writing; ``--write`` / ``--budget-write`` / ``--work-write``
+regenerate one file each.
 
 The **event budget** records the exact ``EventLoop.events_processed`` of
 fixed fixture page loads. It catches event-count regressions (an
 accidental extra timer per packet) deterministically, without timing
 flakiness.
+
+The **work budget** records the exact number of ``RangeSet.add`` calls
+of the same loads: the ACK-range and SACK-scoreboard bookkeeping, which
+should cost in proportion to the information each ACK newly carries.
+Wall time varies by machine; this count does not. A pure optimisation
+that lowers it may re-record it with ``--work-write`` (the simulator's
+behaviour is unchanged, so the version stays).
 
 Since flow ids became per-load (SIM_BEHAVIOUR_VERSION 13) the grid is
 process-history independent and could run in-process; the pytest
@@ -37,7 +45,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, Iterator, List, Tuple
 
 from repro.testbed.harness import (
     SIM_BEHAVIOUR_VERSION,
@@ -48,6 +56,7 @@ from repro.testbed.harness import (
 
 FIXTURE_PATH = Path(__file__).parent / "data" / "equivalence_grid.json"
 BUDGET_PATH = Path(__file__).parent / "data" / "event_budget.json"
+WORK_BUDGET_PATH = Path(__file__).parent / "data" / "work_budget.json"
 
 #: Both transport stacks x {clean, lossy} network x two seeds.
 GRID_SITES = ("gov.uk", "nytimes.com")
@@ -113,6 +122,11 @@ def budget_behaviour_version() -> int:
     return int(json.loads(BUDGET_PATH.read_text())["sim_behaviour"])
 
 
+def work_budget_behaviour_version() -> int:
+    """The SIM_BEHAVIOUR_VERSION the work budget was recorded under."""
+    return int(json.loads(WORK_BUDGET_PATH.read_text())["sim_behaviour"])
+
+
 def write_fixture() -> None:
     _write_atomic(FIXTURE_PATH, {
         "sim_behaviour": SIM_BEHAVIOUR_VERSION,
@@ -138,8 +152,8 @@ BUDGET_CONDITIONS = (
 )
 
 
-def measure_event_budgets() -> Dict[str, int]:
-    """events_processed per fixed fixture page load."""
+def _run_budget_loads() -> Iterator[Tuple[str, int]]:
+    """Run each fixed fixture page load; yield its key and event count."""
     from repro.browser.engine import PageLoad
     from repro.netem.engine import EventLoop
     from repro.netem.path import NetworkPath
@@ -147,14 +161,44 @@ def measure_event_budgets() -> Dict[str, int]:
     from repro.transport.config import stack_by_name
     from repro.web.corpus import build_site
 
-    out: Dict[str, int] = {}
     for site_name, network, stack in BUDGET_CONDITIONS:
         loop = EventLoop()
         path = NetworkPath(loop, network_by_name(network), seed=0)
         load = PageLoad(loop, path, stack_by_name(stack),
                         build_site(site_name, seed=0), seed=0)
         load.run()
-        out[f"{site_name}|{network}|{stack}"] = loop.events_processed
+        yield f"{site_name}|{network}|{stack}", loop.events_processed
+
+
+def measure_event_budgets() -> Dict[str, int]:
+    """events_processed per fixed fixture page load."""
+    return dict(_run_budget_loads())
+
+
+def measure_work_budgets() -> Dict[str, int]:
+    """``RangeSet.add`` calls per fixed fixture page load.
+
+    Counted by wrapping the method for the duration of the measurement,
+    so the simulator itself carries no counter.
+    """
+    from repro.transport.ranges import RangeSet
+
+    add = RangeSet.add
+    calls = 0
+
+    def counted_add(self, start: int, end: int) -> None:
+        nonlocal calls
+        calls += 1
+        add(self, start, end)
+
+    out: Dict[str, int] = {}
+    RangeSet.add = counted_add
+    try:
+        for key, _events in _run_budget_loads():
+            out[key] = calls
+            calls = 0
+    finally:
+        RangeSet.add = add
     return out
 
 
@@ -165,34 +209,55 @@ def write_budgets() -> None:
     })
 
 
-def check_budgets() -> List[str]:
-    """Human-readable violations of the recorded event budgets."""
-    budgets = json.loads(BUDGET_PATH.read_text())["budgets"]
-    current = measure_event_budgets()
+def write_work_budgets() -> None:
+    _write_atomic(WORK_BUDGET_PATH, {
+        "sim_behaviour": SIM_BEHAVIOUR_VERSION,
+        "budgets": measure_work_budgets(),
+    })
+
+
+def _over_budget(path: Path, current: Dict[str, int],
+                 unit: str) -> List[str]:
+    budgets = json.loads(path.read_text())["budgets"]
     problems = []
     for key, budget in budgets.items():
-        events = current.get(key)
-        if events is None:
+        count = current.get(key)
+        if count is None:
             problems.append(f"{key}: not measured")
-        elif events > budget:
-            problems.append(f"{key}: {events} events > budget {budget}")
+        elif count > budget:
+            problems.append(f"{key}: {count} {unit} > budget {budget}")
     return problems
+
+
+def check_budgets() -> List[str]:
+    """Human-readable violations of the recorded event budgets."""
+    return _over_budget(BUDGET_PATH, measure_event_budgets(), "events")
+
+
+def check_work_budgets() -> List[str]:
+    """Human-readable violations of the recorded work budgets."""
+    return _over_budget(WORK_BUDGET_PATH, measure_work_budgets(),
+                        "RangeSet.add calls")
 
 
 def main(argv: List[str]) -> int:
     mode = argv[0] if argv else "--regen"
     if mode == "--regen":
-        # Simulate everything first, then replace both files atomically:
+        # Simulate everything first, then replace the files atomically:
         # a failure mid-way leaves the committed fixtures untouched and
-        # the two files can never record different behaviour versions.
+        # the files can never record different behaviour versions.
         fixture = {"sim_behaviour": SIM_BEHAVIOUR_VERSION,
                    "conditions": simulate_grid()}
         budgets = {"sim_behaviour": SIM_BEHAVIOUR_VERSION,
                    "budgets": measure_event_budgets()}
+        work = {"sim_behaviour": SIM_BEHAVIOUR_VERSION,
+                "budgets": measure_work_budgets()}
         _write_atomic(FIXTURE_PATH, fixture)
         _write_atomic(BUDGET_PATH, budgets)
+        _write_atomic(WORK_BUDGET_PATH, work)
         print(f"wrote {FIXTURE_PATH}")
         print(f"wrote {BUDGET_PATH}")
+        print(f"wrote {WORK_BUDGET_PATH}")
     elif mode == "--write":
         write_fixture()
         print(f"wrote {FIXTURE_PATH}")
@@ -211,6 +276,15 @@ def main(argv: List[str]) -> int:
             print("; ".join(problems))
             return 1
         print("event budgets respected")
+    elif mode == "--work-write":
+        write_work_budgets()
+        print(f"wrote {WORK_BUDGET_PATH}")
+    elif mode == "--work-check":
+        problems = check_work_budgets()
+        if problems:
+            print("; ".join(problems))
+            return 1
+        print("work budgets respected")
     else:
         print(f"unknown mode {mode!r}")
         return 2

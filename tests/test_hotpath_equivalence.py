@@ -13,12 +13,16 @@ Three deterministic regression nets:
   fixture page loads must not exceed the recorded budget. This catches
   accidental event-count regressions (an extra timer per packet, a
   dropped batching optimisation) without any timing flakiness.
+* **work budget** — the exact number of ``RangeSet.add`` calls of the
+  same loads must not exceed the recorded budget: ACK-range and SACK
+  bookkeeping that starts re-walking already-processed ranges fails
+  here on any machine.
 * **version stamp** — the fixtures record the ``SIM_BEHAVIOUR_VERSION``
   they were generated under; a mismatch with the running simulator
   fails fast, so a behaviour bump cannot land without a fixture regen
   (and a regen cannot land without the bump).
 
-The first two run in a subprocess. Since flow ids became per-load
+The first three run in a subprocess. Since flow ids became per-load
 (version 13) simulation is process-history independent, so this is no
 longer a correctness requirement — it just keeps the checks insulated
 from whatever other tests imported or monkeypatched first.
@@ -58,6 +62,11 @@ class TestHotpathEquivalence:
         assert result.returncode == 0, (
             f"event budget exceeded:\n{result.stdout}{result.stderr}")
 
+    def test_range_adds_within_recorded_budget(self):
+        result = _run_mode("--work-check")
+        assert result.returncode == 0, (
+            f"work budget exceeded:\n{result.stdout}{result.stderr}")
+
 
 class TestBehaviourVersionStamp:
     """The committed fixtures must match the running simulator's version.
@@ -83,5 +92,15 @@ class TestBehaviourVersionStamp:
         recorded = budget_behaviour_version()
         assert recorded == SIM_BEHAVIOUR_VERSION, (
             f"event budget was recorded under SIM_BEHAVIOUR_VERSION="
+            f"{recorded} but the simulator is at {SIM_BEHAVIOUR_VERSION}; "
+            f"regenerate with 'python -m tests.equivalence_grid --regen'")
+
+    def test_work_budget_stamped_with_current_version(self):
+        from equivalence_grid import work_budget_behaviour_version
+        from repro.testbed.harness import SIM_BEHAVIOUR_VERSION
+
+        recorded = work_budget_behaviour_version()
+        assert recorded == SIM_BEHAVIOUR_VERSION, (
+            f"work budget was recorded under SIM_BEHAVIOUR_VERSION="
             f"{recorded} but the simulator is at {SIM_BEHAVIOUR_VERSION}; "
             f"regenerate with 'python -m tests.equivalence_grid --regen'")

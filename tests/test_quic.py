@@ -7,7 +7,7 @@ from repro.netem.packet import Packet
 from repro.netem.path import NetworkPath
 from repro.netem.profiles import DSL, MSS, NetworkProfile
 from repro.transport.config import QUIC, QUIC_BBR, TCP
-from repro.transport.quic import QuicConnection
+from repro.transport.quic import QuicConnection, QuicEndpoint
 from repro.transport.tcp import TcpConnection
 
 LOSSY = NetworkProfile(
@@ -285,6 +285,81 @@ class TestAckRanges:
         conn.connect(go)
         loop.run(until=60.0)
         assert seen["max_ranges"] > 3
+
+
+def make_endpoints():
+    """A sender with packets in flight and a receiver fed by hand.
+
+    Returns the loop, the sender, the data packets it sent so far and a
+    function that delivers packets to the receiver and returns the ACK
+    frames it emitted.
+    """
+    loop = EventLoop()
+    data = []
+    sender = QuicEndpoint(loop, QUIC, lambda size, p: data.append(p), "s2c",
+                          100_000, lambda *a: None, lambda sid: {})
+    acks = []
+    receiver = QuicEndpoint(loop, QUIC, lambda size, p: acks.append(p),
+                            "c2s", 100_000, lambda *a: None, lambda sid: {})
+    sender.stream_write(0, 200_000, fin=True)
+
+    def deliver(*pkt_nums):
+        del acks[:]
+        by_num = {p.pkt_num: p for p in data}
+        for pkt_num in pkt_nums:
+            receiver.on_data_packet(by_num[pkt_num])
+        receiver._emit_ack()  # the delayed-ACK timer, fired now
+        return list(acks)
+
+    return loop, sender, data, deliver
+
+
+def sender_state(sender):
+    return (list(sender._sent), list(sender._acked_pkts),
+            sender._largest_acked, sender.bytes_in_flight,
+            sender._delivered_bytes, sender._pto_backoff,
+            sender.cc.congestion_window(), sender.rtt.smoothed(),
+            vars(sender.stats).copy())
+
+
+class TestAckFloor:
+    """Nothing below the oldest outstanding packet can be newly acked."""
+
+    def test_ack_below_oldest_outstanding_changes_nothing(self):
+        loop, sender, data, deliver = make_endpoints()
+        assert [p.pkt_num for p in data] == list(range(1, 10))
+        # Packet 2 is delayed; the ACK for the rest declares it lost and
+        # its data goes out again in new packets.
+        sender.on_ack_frame(deliver(1, 3, 4, 5, 6, 7, 8, 9)[-1])
+        assert sender.stats.retransmitted_packets == 1
+        loop.run(until=0.02)  # let the pacer release a new packet
+        assert sender._sent and min(sender._sent) > 9
+        sent_before = len(data)
+        before = sender_state(sender)
+        # Packet 2 turns up late: every range of this ACK lies below the
+        # oldest outstanding packet.
+        late = deliver(2)[-1]
+        assert late.ack_ranges == ((1, 10),)
+        sender.on_ack_frame(late)
+        assert sender_state(sender) == before
+        assert len(data) == sent_before
+
+    def test_reordered_packet_merging_across_floor_acks_only_it(self):
+        loop, sender, data, deliver = make_endpoints()
+        # Packet 4 is reordered: too few packets above it to be lost yet.
+        sender.on_ack_frame(deliver(1, 2, 3, 5, 6)[-1])
+        assert min(sender._sent) == 4
+        outstanding = set(sender._sent)
+        in_flight = sender.bytes_in_flight
+        size = sender._sent[4].size
+        # Its arrival merges the receiver's ranges into one that starts
+        # below the floor and reaches above it.
+        merged = deliver(4)[-1]
+        assert merged.ack_ranges[-1] == (1, 7)
+        sender.on_ack_frame(merged)
+        assert set(sender._sent) == outstanding - {4}
+        assert sender.bytes_in_flight == in_flight - size
+        assert sender._largest_acked == 6
 
 
 class TestBbrVariant:

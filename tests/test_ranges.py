@@ -195,3 +195,9 @@ class TestProperties:
             gap_points.update(range(s, e))
         expected = set(range(start, end)) - covered
         assert gap_points == expected
+
+    @given(ranges_strategy, st.integers(0, 40))
+    @settings(max_examples=200)
+    def test_newest_first_is_reversed_prefix(self, adds, limit):
+        rs = RangeSet(adds)
+        assert rs.newest_first(limit) == list(rs)[::-1][:limit]

@@ -279,6 +279,20 @@ class TestMergeAlgebra:
         clone = StudyPartial.from_state(state)
         assert clone.to_state() == state
 
+    def test_state_does_not_alias_config(self, shards):
+        """Mutating a state never changes a partial's merge identity."""
+        partial = StudyPartial.from_state(shards[0].to_state())
+        identity = copy.deepcopy(partial.config)
+        state = partial.to_state()
+        state["config"]["plan"]["sites"].append("example.org")
+        state["config"]["groups"].clear()
+        assert partial.config == identity
+        source = shards[0].to_state()
+        rebuilt = StudyPartial.from_state(source)
+        source["config"]["plan"]["networks"].append("LTE")
+        source["config"]["groups"].append("lab")
+        assert rebuilt.config == identity
+
     def test_sealed_write_and_load(self, shards, tmp_path):
         path = tmp_path / "study_partials" / "w0.json"
         shards[0].write(path)

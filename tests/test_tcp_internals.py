@@ -11,7 +11,9 @@ from repro.transport.tcp import (
     TcpReceiver,
     TcpSegment,
     TcpSender,
+    sack_holes,
 )
+from repro.transport.ranges import RangeSet
 
 
 def make_sender(stack=TCP, sent_log=None):
@@ -142,6 +144,46 @@ class TestSenderLossDetection:
         ack(sender, 5 * mss)
         assert sender._lost.covered_bytes() == 0
         assert sender._retx_in_flight.covered_bytes() == 0
+
+
+def naive_sack_holes(sacked, snd_una):
+    """Per hole, sum the SACKed bytes above it over the whole scoreboard."""
+    return [(start, end, sum(max(0, e - max(s, end)) for s, e in sacked))
+            for start, end in sacked.missing_within(snd_una,
+                                                    sacked.highest())]
+
+
+scoreboard_blocks = st.lists(
+    st.tuples(st.integers(0, 300), st.integers(1, 30)).map(
+        lambda t: (t[0], t[0] + t[1])),
+    max_size=25,
+)
+
+
+class TestSackHoles:
+    @given(st.integers(0, 100), scoreboard_blocks)
+    @settings(max_examples=300)
+    def test_one_pass_matches_naive_sum(self, snd_una, blocks):
+        sacked = RangeSet((max(s, snd_una), e) for s, e in blocks)
+        assert (list(sack_holes(sacked, snd_una))
+                == naive_sack_holes(sacked, snd_una))
+
+    @given(st.lists(st.tuples(st.integers(0, 40), scoreboard_blocks),
+                    min_size=1, max_size=8))
+    @settings(max_examples=50, deadline=None)
+    def test_sender_scoreboard_matches_naive_sum(self, acks):
+        """The sender's scoreboard meets ``sack_holes``' precondition."""
+        loop, sender, _ = make_sender()
+        sender.write(200_000)
+        loop.run(until=0.1)
+        mss = TCP.mss
+        for cumulative, blocks in sorted(acks):
+            ack(sender, cumulative * mss,
+                sack_blocks=[(s * mss // 10, e * mss // 10)
+                             for s, e in blocks[:3]])
+            assert all(s >= sender.snd_una for s, _ in sender._sacked)
+            assert (list(sack_holes(sender._sacked, sender.snd_una))
+                    == naive_sack_holes(sender._sacked, sender.snd_una))
 
 
 class TestReceiver:
