@@ -1,4 +1,4 @@
-"""Markdown renderers for the paper's artifacts.
+"""Markdown renderers for campaign reports.
 
 The ASCII renderers in :mod:`repro.report.tables` target terminals; these
 produce GitHub-flavoured markdown for READMEs, lab notebooks and CI
@@ -7,16 +7,9 @@ summaries.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence, Tuple
+from typing import Sequence
 
-from repro.analysis.ab import AbShares
-from repro.analysis.correlation import CorrelationHeatmap
-from repro.analysis.rating import RatingCell
 from repro.analysis.streaming import GridReport
-from repro.netem.profiles import NETWORKS
-from repro.study.design import scale_label
-from repro.study.filtering import FilterFunnel
-from repro.transport.config import STACKS
 
 
 def md_table(headers: Sequence[str],
@@ -45,71 +38,3 @@ def md_grid(report: GridReport) -> str:
     if note is not None:
         rendered += f"\n\n_{note}_"
     return rendered
-
-
-def md_table1() -> str:
-    rows = [(s.name, s.description) for s in STACKS]
-    return "### Table 1 — protocol configurations\n\n" + \
-        md_table(("Protocol", "Description"), rows)
-
-
-def md_table2() -> str:
-    rows = []
-    for profile in NETWORKS:
-        row = profile.table_row()
-        rows.append((row["Network"], row["Uplink"], row["Downlink"],
-                     row["min. RTT"], row["Loss"], row["Queue"]))
-    return "### Table 2 — network configurations\n\n" + md_table(
-        ("Network", "Uplink", "Downlink", "min. RTT", "Loss", "Queue"),
-        rows)
-
-
-def md_table3(funnels: Sequence[FilterFunnel]) -> str:
-    headers = ["Group", "Study", "-", "R1", "R2", "R3", "R4", "R5", "R6",
-               "R7"]
-    rows = [[f.group, f.study] + f.as_row() for f in funnels]
-    return "### Table 3 — participation and filtering\n\n" + \
-        md_table(headers, rows)
-
-
-def md_figure4(shares: Mapping[Tuple[str, str], AbShares]) -> str:
-    headers = ("Pair", "Network", "prefer A", "no diff", "prefer B",
-               "n", "replays")
-    rows = []
-    for network in [p.name for p in NETWORKS]:
-        for pair in sorted({key[0] for key in shares}):
-            cell = shares.get((pair, network))
-            if cell is None:
-                continue
-            rows.append((pair, network, f"{cell.share_a:.1%}",
-                         f"{cell.share_same:.1%}", f"{cell.share_b:.1%}",
-                         cell.total, f"{cell.mean_replays:.2f}"))
-    return "### Figure 4 — A/B vote shares\n\n" + md_table(headers, rows)
-
-
-def md_figure5(cells: Sequence[RatingCell]) -> str:
-    headers = ("Context", "Network", "Stack", "Mean", "99% CI", "Label",
-               "n")
-    rows = []
-    for cell in cells:
-        rows.append((cell.context, cell.network, cell.stack,
-                     f"{cell.mean:.1f}",
-                     f"[{cell.ci.lower:.1f}, {cell.ci.upper:.1f}]",
-                     scale_label(cell.mean), cell.ci.n))
-    return "### Figure 5 — rating means\n\n" + md_table(headers, rows)
-
-
-def md_figure6(heatmap: CorrelationHeatmap) -> str:
-    networks = [p.name for p in NETWORKS if p.name in heatmap.networks]
-    sections = ["### Figure 6 — Pearson r (metric vs votes)"]
-    for stack in heatmap.stacks:
-        rows = []
-        for metric in heatmap.metrics:
-            row = [metric]
-            for network in networks:
-                r = heatmap.r(stack, metric, network)
-                row.append(f"{r:.2f}" if r is not None else "-")
-            rows.append(row)
-        sections.append(f"\n**{stack}**\n\n" +
-                        md_table(["metric"] + networks, rows))
-    return "\n".join(sections)

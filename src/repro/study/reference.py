@@ -3,8 +3,8 @@
 The per-vote counterpart of the vectorized kernels in
 :mod:`repro.study.engine`: it consumes the *same* block draws and walks
 them one trial at a time with plain Python branching — the readable
-specification of the vote logic, and the "before" baseline of the
-``study_throughput`` benchmark.
+specification of the vote logic, and the oracle the vectorized kernels
+are tested against.
 
 Both paths must produce **exactly** equal blocks (bit-identical floats);
 ``tests/test_study_equivalence.py`` pins this. To keep that guarantee

@@ -1,5 +1,8 @@
 """Page-load engine and the recorder."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.browser.engine import PageLoad, load_page
@@ -115,6 +118,25 @@ class TestPageLoad:
         site = build_site("gov.uk", seed=0)
         result = load_page(site, MSS, TCP, seed=3)
         assert result.transport.packets_or_segments_sent > 0
+
+
+class TestResidualMemory:
+    @pytest.mark.parametrize("stack", [TCP, QUIC], ids=lambda s: s.name)
+    def test_load_leaves_nothing_behind(self, stack):
+        """Once its result is dropped, a page load keeps nothing alive:
+        after a warm-up load (imports, caches), a second identical load
+        leaves at most 4 KiB traced after a GC pass."""
+        site = build_site("gov.uk", seed=0)
+        load_page(site, MSS, stack, seed=0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            load_page(site, MSS, stack, seed=0)
+            gc.collect()
+            residual, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert residual <= 4096, residual
 
 
 class TestRecorder:

@@ -5,16 +5,7 @@ import io
 
 import pytest
 
-from repro.analysis.correlation import CorrelationHeatmap
-from repro.report.markdown import (
-    md_figure4,
-    md_figure5,
-    md_figure6,
-    md_table,
-    md_table1,
-    md_table2,
-    md_table3,
-)
+from repro.report.markdown import md_table
 from repro.study.design import StudyPlan
 from repro.study.export import (
     ab_votes_csv,
@@ -23,13 +14,7 @@ from repro.study.export import (
     participants_csv,
     rating_votes_csv,
 )
-from repro.study.filtering import FilterFunnel
-from repro.study.pipeline import (
-    ConditionIndex,
-    ab_vote_shares,
-    build_partial,
-    rating_means,
-)
+from repro.study.pipeline import ConditionIndex, build_partial
 from repro.study.rows import rows_by_study
 
 from tests.conftest import SMALL_SITES
@@ -109,34 +94,3 @@ class TestMarkdown:
         assert lines[0] == "| a | b |"
         assert lines[1] == "|---|---|"
         assert len(lines) == 4
-
-    def test_md_tables_contain_paper_values(self):
-        assert "IW32" in md_table1()
-        assert "0.468 Mbps" in md_table2()
-
-    def test_md_table3(self):
-        funnel = FilterFunnel(group="g", study="ab", initial=100,
-                              after_rule=[90, 80, 70, 60, 50, 40, 30])
-        text = md_table3([funnel])
-        assert "| g | ab | 100 |" in text
-        assert "30" in text
-
-    def test_md_figure4(self, partial):
-        shares = ab_vote_shares(partial)
-        text = md_figure4(shares)
-        assert "QUIC vs. TCP" in text
-        assert "%" in text
-
-    def test_md_figure5(self, partial):
-        cells = rating_means(partial)
-        text = md_figure5(cells)
-        assert "plane" in text
-        assert "99% CI" in text
-
-    def test_md_figure6(self):
-        heatmap = CorrelationHeatmap(
-            values={("TCP", "SI", "MSS"): -0.89},
-            stacks=("TCP",), networks=("MSS",))
-        text = md_figure6(heatmap)
-        assert "**TCP**" in text
-        assert "-0.89" in text

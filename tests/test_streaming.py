@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,12 @@ from repro.analysis.streaming import (
     anova_from_moments,
     grid_report,
 )
-from repro.testbed.harness import RecordingSummary
-from repro.testbed.store import ConditionKey
+from repro.testbed.harness import (
+    SIM_BEHAVIOUR_VERSION,
+    RecordingCache,
+    RecordingSummary,
+)
+from repro.testbed.store import ConditionKey, SummaryStore, append_record
 
 APPROX = dict(rel=1e-9, abs=1e-12)
 
@@ -213,7 +218,8 @@ class TestStreamingHistogram:
 # -- group-by and grid reports over synthetic summaries ----------------------
 
 
-def _pair(website, network, stack, seed, si_samples):
+def _pair(website, network, stack, seed, si_samples,
+          curve=((0.1, 0.5), (0.4, 1.0))):
     key = ConditionKey(website=website, network=network, stack=stack,
                        seed=seed, label=f"{website}_{network}_{stack}_s{seed}",
                        fingerprint=f"fp-{website}-{network}-{stack}-{seed}")
@@ -223,7 +229,7 @@ def _pair(website, network, stack, seed, si_samples):
         website=website, network=network, stack=stack,
         runs=len(si_samples), selection_metric="PLT",
         selected_metrics=dict(metrics[0]),
-        selected_curve=[(0.1, 0.5), (0.4, 1.0)],
+        selected_curve=list(curve),
         run_metrics=metrics,
         mean_retransmissions=0.0, mean_segments_sent=10.0,
         completed_fraction=1.0,
@@ -344,6 +350,54 @@ class TestGridReport:
         assert report.is_empty
         assert report.baseline_column() is None
         assert report.cell((), "TCP") is None
+
+
+def _write_campaign(root, sites=20):
+    """A finished synthetic campaign (sites x 4 networks x 5 stacks):
+    summaries in the cache, manifest lines stamped with the current
+    ``SIM_BEHAVIOUR_VERSION`` so ``SummaryStore.open`` accepts it."""
+    cache = RecordingCache(root)
+    campaign_dir = root / "campaigns" / "synthetic"
+    campaign_dir.mkdir(parents=True)
+    curve = [(0.05 * point, min(1.0, 0.02 * point)) for point in range(60)]
+    for site in range(sites):
+        for network in ("DSL", "LTE", "DA2GC", "MSS"):
+            for stack in ("TCP", "TCP+", "TCPBBR", "QUIC", "QUICBBR"):
+                key, summary = _pair(
+                    f"site{site:03d}.example", network, stack, 0,
+                    [1.0 + 0.01 * run + 0.001 * site for run in range(5)],
+                    curve=curve)
+                cache.store(key.label, key.fingerprint, summary)
+                append_record(campaign_dir / "manifest.jsonl", {
+                    "fingerprint": key.fingerprint, "label": key.label,
+                    "website": key.website, "network": key.network,
+                    "stack": key.stack, "seed": key.seed,
+                    "sim_behaviour": SIM_BEHAVIOUR_VERSION,
+                    "status": "simulated",
+                })
+    return campaign_dir
+
+
+def _traced_peak(compute):
+    tracemalloc.start()
+    try:
+        compute()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGridReportOverStore:
+    def test_streaming_peak_at_most_half_of_batch(self, tmp_path):
+        """Draining the store one summary at a time peaks well below
+        materialising the whole grid first. The streaming peak still
+        grows with the grid (the manifest's keys are held), so this
+        bounds the ratio rather than claiming O(axes)."""
+        store = SummaryStore.open(_write_campaign(tmp_path))
+        assert len(store) == 400
+        streaming = _traced_peak(lambda: grid_report(store))
+        batch = _traced_peak(lambda: grid_report(list(store)))
+        assert streaming * 2 <= batch, (streaming, batch)
 
 
 class TestStateSerialization:

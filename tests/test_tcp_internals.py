@@ -5,9 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netem.engine import EventLoop
+from repro.netem.path import NetworkPath
+from repro.netem.profiles import NetworkProfile
 from repro.transport.config import TCP, TCP_PLUS
 from repro.transport.tcp import (
     AUTOTUNE_INITIAL_BYTES,
+    TcpConnection,
     TcpReceiver,
     TcpSegment,
     TcpSender,
@@ -289,3 +292,51 @@ class TestReceiverProperties:
     @staticmethod
     def _contiguous(indices, i):
         return all(j in indices for j in range(i))
+
+
+class _CountingList(list):
+    """A ``list`` that counts indexed reads (sent-record visits)."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+MB = 1_000_000
+
+
+def _sent_visits_per_mb(rtt_ms):
+    """Sent-record visits per MB of one loss-free 8 MB TCP+ bulk
+    download over a fat path (100/20 Mbps, 200 ms queue)."""
+    total_bytes = 8 * MB
+    profile = NetworkProfile(name=f"fat-{rtt_ms:g}ms", uplink_mbps=20.0,
+                             downlink_mbps=100.0, min_rtt_ms=rtt_ms,
+                             loss_rate=0.0, queue_ms=200.0)
+    loop = EventLoop()
+    got = 0
+
+    def on_client(delivered, metas):
+        nonlocal got
+        got = delivered
+
+    conn = TcpConnection(NetworkPath(loop, profile, seed=1), TCP_PLUS,
+                         on_client, lambda d, m: None)
+    sent = conn.server_sender._sent = _CountingList()
+    conn.connect(lambda: conn.server_write(total_bytes))
+    loop.run_until_idle_or(lambda: got >= total_bytes, until=600.0)
+    assert got >= total_bytes
+    return sent.reads / (got / MB)
+
+
+class TestPerAckWork:
+    def test_sent_record_visits_flat_in_bdp(self):
+        """8x the RTT puts ~8x the records in flight; per-ACK work that
+        rescanned the window would grow with it, bookkeeping that only
+        visits newly-delivered records stays flat."""
+        small = _sent_visits_per_mb(20.0)
+        large = _sent_visits_per_mb(160.0)
+        assert large / small <= 1.5, (small, large)
