@@ -144,6 +144,8 @@ class EventLoop:
             if event.cancelled:
                 self._cancelled_in_heap -= 1
                 continue
+            # Out of the heap now: a later cancel() must not count it.
+            event._loop = None
             self._now = event.time
             self.current_seq = event.seq
             self._processed += 1

@@ -24,11 +24,22 @@ A/B draw contract per block (``n`` participants × ``V`` videos):
 7. rusher answers, confidences and durations
 8. replays — one Poisson draw with per-trial rates
 9. decision-time noise — ``N(0, 0.35)``
-10. event-log draws — last, and only with ``with_events=True`` (the
-    R1-R7 event-log reference); every other consumer skips them
+10. event-log draws (the R1-R7 event-log reference)
 
 The rating contract is analogous (per-context permutations; two vote-noise
-blocks; rusher score blocks). All branch thresholds that involve
+blocks; rusher score blocks; rusher durations, replays, decision-time
+noise, event-log draws).
+
+Each contract ends in a *tail* that only durations, rating replays and
+event logs read: steps 9-10 on A/B, from rusher durations on in rating.
+A caller draws only as far as it reads (``through``, one of
+:data:`DRAW_DEPTHS`): :func:`~repro.study.pipeline.build_partial` stops
+at ``"votes"``, rows and the reference oracle draw the ``"timing"``
+tail, and the event-log reference goes on to ``"events"``. Stopping
+early changes no kept draw: each block owns its generator and the tail
+is that generator's last draws.
+
+All branch thresholds that involve
 transcendentals (the psychometric logistic, the confusion exponential,
 the opinion curve) are evaluated through the shared ``*_np`` kernels in
 :mod:`repro.study.perception`, never through :mod:`math`, keeping both
@@ -77,6 +88,9 @@ from repro.util.rng import spawn_rng
 
 #: Participants per block: the sharding granularity of the study RNG tree.
 STUDY_BLOCK = 256
+
+#: How far down a block's draw contract a caller reads, shortest first.
+DRAW_DEPTHS = ("votes", "timing", "events")
 
 #: Condition-coordinate vote codes.
 VOTE_A, VOTE_SAME, VOTE_B = 0, 1, 2
@@ -159,6 +173,13 @@ def _check_shard(shard: Tuple[int, int]) -> Tuple[int, int]:
     return index, step
 
 
+def _check_depth(through: str) -> str:
+    if through not in DRAW_DEPTHS:
+        raise ValueError(f"through must be one of {DRAW_DEPTHS}, "
+                         f"got {through!r}")
+    return through
+
+
 def _block_spans(participants: int,
                  block_size: int) -> Iterator[Tuple[int, int, int]]:
     """Yield ``(block_index, start_pid, size)`` covering all participants."""
@@ -208,7 +229,7 @@ class AbDraws:
     rush_conf: np.ndarray      # (n, V)
     rush_dur_u: np.ndarray     # (n, V)
     replays: np.ndarray        # (n, V) Poisson
-    decision_noise: np.ndarray  # (n, V) N(0, 0.35)
+    decision_noise: Optional[np.ndarray]  # (n, V) N(0, 0.35); timing tail
     events: Optional[EventDraws]
 
 
@@ -226,7 +247,7 @@ class AbBlock:
     answers: np.ndarray      # (n, V) int8, screen coordinates
     confidence: np.ndarray   # (n, V)
     replays: np.ndarray      # (n, V) int
-    durations: np.ndarray    # (n, V)
+    durations: Optional[np.ndarray]  # (n, V); None without the tail
     events: Optional[EventDraws]
 
     @property
@@ -276,7 +297,7 @@ class AbEngine:
                     / (1.0 + 2.0 * self.magnitude)) * fast_bonus
 
     def draw(self, rng: np.random.Generator, start: int, size: int,
-             with_events: bool = False) -> AbDraws:
+             through: str = "timing") -> AbDraws:
         """Draw one block following the contract (see module docstring)."""
         shape = (size, self.videos)
         traits = draw_trait_block(rng, self.behavior, size)
@@ -293,9 +314,11 @@ class AbEngine:
         rush_conf = rng.random(shape)
         rush_dur_u = rng.random(shape)
         replays = rng.poisson(self.lam[indices])
-        decision_noise = rng.normal(0.0, 0.35, shape)
-        events = draw_event_block(rng, size, self.videos) \
-            if with_events else None
+        decision_noise = events = None
+        if _check_depth(through) != "votes":
+            decision_noise = rng.normal(0.0, 0.35, shape)
+            if through == "events":
+                events = draw_event_block(rng, size, self.videos)
         return AbDraws(
             start=start, traits=traits, flags=flags, indices=indices,
             left_u=left_u, detect_u=vote_u[0], same_u=vote_u[1],
@@ -310,10 +333,11 @@ class AbEngine:
         participants: int,
         seed: int,
         shard: Tuple[int, int] = (0, 1),
-        with_events: bool = False,
+        through: str = "timing",
         compute: Optional[Callable[[AbDraws, "AbEngine"], AbBlock]] = None,
     ) -> Iterator[AbBlock]:
-        """Yield computed blocks of this study, in participant order."""
+        """Yield computed blocks of this study, in participant order,
+        drawn as far down the contract as ``through`` names."""
         if compute is None:
             compute = compute_ab_block
         index, step = _check_shard(shard)
@@ -322,7 +346,7 @@ class AbEngine:
             if b % step != index:
                 continue
             rng = block_rng(entropy, b)
-            yield compute(self.draw(rng, start, size, with_events), self)
+            yield compute(self.draw(rng, start, size, through), self)
 
 
 def compute_ab_block(draws: AbDraws, engine: AbEngine) -> AbBlock:
@@ -352,10 +376,6 @@ def compute_ab_block(draws: AbDraws, engine: AbEngine) -> AbBlock:
             1.0, 0.4 + 0.5 * magnitude + draws.conf_noise)),
         np.where(same_und, 0.3 + 0.4 * draws.conf_u, 0.4 * draws.conf_u),
     )
-    decision = np.exp(np.log(engine.behavior.decision_time_ab)
-                      + draws.decision_noise)
-    durations = engine.video_len[indices] * (1 + draws.replays) + decision
-
     answers = np.where(
         votes == VOTE_SAME, ANSWER_SAME,
         np.where((votes == VOTE_A) == left_is_a,
@@ -371,6 +391,13 @@ def compute_ab_block(draws: AbDraws, engine: AbEngine) -> AbBlock:
                  VOTE_A, VOTE_B),
     ).astype(np.int8)
 
+    durations = None
+    if draws.decision_noise is not None:
+        decision = np.exp(np.log(engine.behavior.decision_time_ab)
+                          + draws.decision_noise)
+        durations = np.where(
+            rush, 1.0 + 3.0 * draws.rush_dur_u,
+            engine.video_len[indices] * (1 + draws.replays) + decision)
     return AbBlock(
         start=draws.start,
         traits=draws.traits,
@@ -382,7 +409,7 @@ def compute_ab_block(draws: AbDraws, engine: AbEngine) -> AbBlock:
         answers=np.where(rush, rush_answers, answers),
         confidence=np.where(rush, draws.rush_conf, confidence),
         replays=np.where(rush, 0, draws.replays),
-        durations=np.where(rush, 1.0 + 3.0 * draws.rush_dur_u, durations),
+        durations=durations,
         events=draws.events,
     )
 
@@ -402,9 +429,10 @@ class RatingDraws:
     quality_noise: np.ndarray             # (n, V)
     rush_speed: np.ndarray                # (n, V) ints 10..70
     rush_quality: np.ndarray              # (n, V) ints 10..70
-    rush_dur_u: np.ndarray                # (n, V)
-    replays: np.ndarray                   # (n, V) Poisson
-    decision_noise: np.ndarray            # (n, V) N(0, 0.35)
+    # The timing tail: None when drawn only through "votes".
+    rush_dur_u: Optional[np.ndarray]      # (n, V)
+    replays: Optional[np.ndarray]         # (n, V) Poisson
+    decision_noise: Optional[np.ndarray]  # (n, V) N(0, 0.35)
     events: Optional[EventDraws]
 
 
@@ -419,8 +447,8 @@ class RatingBlock:
     indices: Tuple[np.ndarray, ...]
     speed: np.ndarray         # (n, V) quantized scores
     quality: np.ndarray       # (n, V)
-    replays: np.ndarray       # (n, V) int
-    durations: np.ndarray     # (n, V)
+    replays: Optional[np.ndarray]    # (n, V) int; None without the tail
+    durations: Optional[np.ndarray]  # (n, V); None without the tail
     events: Optional[EventDraws]
 
     @property
@@ -464,13 +492,19 @@ class RatingEngine:
         pools = {context: self.plan.rating_pool(group, context)
                  for context in RATING_VIDEO_COUNTS[group]}
         stacks = list(self.plan.stacks)
+        # Per (website, network): the across-stack median SI and the
+        # appeal offset, each computed once however many pools show it.
         anchors: Dict[Tuple[str, str], float] = {}
+        appeals: Dict[Tuple[str, str], float] = {}
         for pool in pools.values():
             for c in pool:
-                if (c.website, c.network) not in anchors:
+                key = (c.website, c.network)
+                if key not in anchors:
                     values = sorted(lookup(c.website, c.network, stack).si
                                     for stack in stacks)
-                    anchors[(c.website, c.network)] = values[len(values) // 2]
+                    anchors[key] = values[len(values) // 2]
+                    appeals[key] = website_appeal(c.website, params) \
+                        + condition_appeal(c.website, c.network, params)
         self.tables: List[RatingContextTable] = []
         for context, count in RATING_VIDEO_COUNTS[group].items():
             pool = pools[context]
@@ -483,9 +517,7 @@ class RatingEngine:
             salience = 1.0 / (1.0 + np.maximum(anchor, 0.0)
                               / params.appeal_salience_scale)
             appeal = np.array(
-                [website_appeal(c.website, params)
-                 + condition_appeal(c.website, c.network, params)
-                 for c in pool], dtype=float)
+                [appeals[(c.website, c.network)] for c in pool], dtype=float)
             base = true_opinion_np(si, context, params, anchor) \
                 + salience * appeal
             stall = stall_score_np(np.array([s.fvc for s in stats]),
@@ -499,7 +531,7 @@ class RatingEngine:
         self.videos = sum(table.take for table in self.tables)
 
     def draw(self, rng: np.random.Generator, start: int, size: int,
-             with_events: bool = False) -> RatingDraws:
+             through: str = "timing") -> RatingDraws:
         """Draw one block following the contract (see module docstring)."""
         shape = (size, self.videos)
         traits = draw_trait_block(rng, self.behavior, size)
@@ -518,11 +550,13 @@ class RatingEngine:
             quality_noise = rng.normal(0.0, self.noise_scale, shape)
         rush_speed = rng.integers(10, 71, shape)
         rush_quality = rng.integers(10, 71, shape)
-        rush_dur_u = rng.random(shape)
-        replays = rng.poisson(0.25 * self.behavior.replay_rate, shape)
-        decision_noise = rng.normal(0.0, 0.35, shape)
-        events = draw_event_block(rng, size, self.videos) \
-            if with_events else None
+        rush_dur_u = replays = decision_noise = events = None
+        if _check_depth(through) != "votes":
+            rush_dur_u = rng.random(shape)
+            replays = rng.poisson(0.25 * self.behavior.replay_rate, shape)
+            decision_noise = rng.normal(0.0, 0.35, shape)
+            if through == "events":
+                events = draw_event_block(rng, size, self.videos)
         return RatingDraws(
             start=start, traits=traits, flags=flags, indices=indices,
             speed_noise=speed_noise, quality_noise=quality_noise,
@@ -536,11 +570,12 @@ class RatingEngine:
         participants: int,
         seed: int,
         shard: Tuple[int, int] = (0, 1),
-        with_events: bool = False,
+        through: str = "timing",
         compute: Optional[Callable[["RatingDraws", "RatingEngine"],
                                    RatingBlock]] = None,
     ) -> Iterator[RatingBlock]:
-        """Yield computed blocks of this study, in participant order."""
+        """Yield computed blocks of this study, in participant order,
+        drawn as far down the contract as ``through`` names."""
         if compute is None:
             compute = compute_rating_block
         index, step = _check_shard(shard)
@@ -549,7 +584,7 @@ class RatingEngine:
             if b % step != index:
                 continue
             rng = block_rng(entropy, b)
-            yield compute(self.draw(rng, start, size, with_events), self)
+            yield compute(self.draw(rng, start, size, through), self)
 
 
 def compute_rating_block(draws: RatingDraws,
@@ -562,21 +597,26 @@ def compute_rating_block(draws: RatingDraws,
     stall = np.concatenate(
         [table.stall[idx]
          for table, idx in zip(engine.tables, draws.indices)], axis=1)
-    video_len = np.concatenate(
-        [table.video_len[idx]
-         for table, idx in zip(engine.tables, draws.indices)], axis=1)
 
     bias = draws.traits.rating_bias[:, None]
     speed = quantize_score(base + bias + draws.speed_noise)
     quality = quantize_score(
         base + bias - params.quality_stall_penalty * stall
         + draws.quality_noise)
-    decision = np.exp(np.log(engine.behavior.decision_time_rating)
-                      + draws.decision_noise)
-    durations = video_len * (1 + draws.replays) + decision
 
     rusher = rusher_mask(draws.flags)
     rush = rusher[:, None]
+    replays = durations = None
+    if draws.decision_noise is not None:
+        video_len = np.concatenate(
+            [table.video_len[idx]
+             for table, idx in zip(engine.tables, draws.indices)], axis=1)
+        decision = np.exp(np.log(engine.behavior.decision_time_rating)
+                          + draws.decision_noise)
+        replays = np.where(rush, 0, draws.replays)
+        durations = np.where(
+            rush, 1.0 + 3.0 * draws.rush_dur_u,
+            video_len * (1 + draws.replays) + decision)
     return RatingBlock(
         start=draws.start,
         traits=draws.traits,
@@ -585,7 +625,7 @@ def compute_rating_block(draws: RatingDraws,
         indices=draws.indices,
         speed=np.where(rush, draws.rush_speed.astype(float), speed),
         quality=np.where(rush, draws.rush_quality.astype(float), quality),
-        replays=np.where(rush, 0, draws.replays),
-        durations=np.where(rush, 1.0 + 3.0 * draws.rush_dur_u, durations),
+        replays=replays,
+        durations=durations,
         events=draws.events,
     )

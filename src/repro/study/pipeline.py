@@ -457,9 +457,11 @@ def build_partial(
 ) -> StudyPartial:
     """Aggregate one participant-block shard of both studies.
 
-    Runs the vectorized engines (without event draws: the funnel is a
-    pure function of the violation flags) and keeps only aggregates;
-    memory stays O(conditions), independent of the participant count.
+    Runs the vectorized engines through the vote draws only — the
+    funnel is a pure function of the violation flags, and no aggregate
+    reads durations or event logs, so each block's timing tail is never
+    drawn — and keeps only aggregates; memory stays O(conditions),
+    independent of the participant count.
     """
     if participants_scale <= 0:
         raise ValueError("participants_scale must be positive")
@@ -502,7 +504,8 @@ def _accumulate_ab(
     replay_sums = np.zeros(len(pool), dtype=np.int64)
     saw_any = False
 
-    for block in engine.blocks(participants, seed, shard=shard):
+    for block in engine.blocks(participants, seed, shard=shard,
+                               through="votes"):
         alive, funnel = funnel_from_flags(block.flags, group, "ab")
         partial.funnels.add_vector(funnel_key, funnel.as_row())
         if not alive.any():
@@ -558,7 +561,8 @@ def _accumulate_rating(
     hist = [np.zeros((len(table.pool), SCORE_BINS), dtype=np.int64)
             for table in engine.tables] if group == "internet" else None
 
-    for block in engine.blocks(participants, seed, shard=shard):
+    for block in engine.blocks(participants, seed, shard=shard,
+                               through="votes"):
         alive, funnel = funnel_from_flags(block.flags, group, "rating")
         partial.funnels.add_vector(funnel_key, funnel.as_row())
         if not alive.any():

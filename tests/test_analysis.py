@@ -1,11 +1,17 @@
 """Statistics building blocks and the figure analyses."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
 from repro.analysis.stats import (
     anova_oneway,
     is_normal,
+    mean_ci_from_stats,
     mean_confidence_interval,
     pearson_r,
     welch_ttest_p,
@@ -119,6 +125,59 @@ class TestPearson:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             pearson_r([1, 2], [1])
+
+
+#: Orders of magnitude the kernel properties sweep (1e-3 … 1e4).
+SCALES = st.integers(-3, 4).map(lambda e: 10.0 ** e)
+#: Two values at least 1e-3 apart, in either order.
+DISTINCT_PAIRS = st.tuples(
+    st.floats(-1e4, 1e4), st.floats(1e-3, 1e4), st.booleans()).map(
+        lambda v: (v[0], v[0] + v[1] if v[2] else v[0] - v[1]))
+
+
+class TestKernelsAgainstScipy:
+    """The numpy kernels that replaced per-call scipy dispatch.
+
+    Exact identity with the installed scipy is proven by the perfbench
+    digests; these properties hold the kernels to scipy within rel
+    1e-12, so a newer scipy with a reordered sum still passes.
+    """
+
+    @given(st.integers(2, 64), SCALES, SCALES, st.floats(-3.0, 3.0),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_pearson_matches_scipy(self, n, scale_x, scale_y, slope, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0.0, scale_x, n) + rng.normal(0.0, scale_x)
+        y = (slope * x / scale_x + rng.normal(0.0, 1.0, n)) * scale_y
+        expected = float(scipy_stats.pearsonr(x, y)[0])
+        assert pearson_r(x, y) == pytest.approx(expected, rel=1e-12,
+                                                abs=1e-15)
+
+    @given(DISTINCT_PAIRS, DISTINCT_PAIRS)
+    def test_two_points_give_exact_sign(self, x, y):
+        sign = 1.0 if (x[1] > x[0]) == (y[1] > y[0]) else -1.0
+        assert pearson_r(x, y) == sign
+
+    @given(st.integers(2, 64), st.floats(-1e4, 1e4),
+           st.integers(0, 2 ** 32 - 1))
+    def test_constant_input_gives_zero(self, n, value, seed):
+        other = np.random.default_rng(seed).normal(size=n)
+        assert pearson_r([value] * n, other) == 0.0
+        assert pearson_r(other, [value] * n) == 0.0
+
+    def test_constant_with_inexact_mean_gives_zero(self):
+        # mean([0.1] * 3) != 0.1, so a nonzero std must not leak a nan.
+        assert pearson_r([0.1] * 3, [1.0, 2.0, 3.0]) == 0.0
+
+    @pytest.mark.parametrize("confidence", [0.95, 0.99])
+    def test_t_critical_value_equals_scipy(self, confidence):
+        q = (1 + confidence) / 2.0
+        for df in range(1, 2001):
+            n = df + 1
+            # sd / sqrt(n) == 1.0 exactly, so the upper bound is t_crit.
+            ci = mean_ci_from_stats(n, 0.0, math.sqrt(n), confidence)
+            assert ci.upper == float(scipy_stats.t.ppf(q, df)), df
 
 
 class TestWelch:

@@ -71,6 +71,34 @@ class TestCancellation:
         first.cancel()
         assert loop.peek_time() == 2.0
 
+    def test_cancel_after_run_is_not_a_heap_entry(self, loop):
+        """A handle whose callback already ran has left the heap, so
+        cancelling it must not count a dead entry."""
+        handle = loop.call_at(1.0, lambda: None)
+        loop.run()
+        handle.cancel()
+        assert loop.pending_events == 0
+        loop.call_at(2.0, lambda: None)
+        assert loop.pending_events == 1
+
+    def test_cancel_own_handle_inside_callback(self, loop):
+        handles = []
+        handles.append(loop.call_at(1.0, lambda: handles[0].cancel()))
+        loop.call_at(2.0, lambda: None)
+        loop.step()
+        assert loop.pending_events == 1
+
+    def test_ran_handles_do_not_trigger_compaction(self, loop):
+        ran = [loop.call_at(1.0, lambda: None) for _ in range(100)]
+        loop.run()
+        live = [loop.call_at(2.0 + i, lambda: None) for i in range(10)]
+        for handle in ran:
+            handle.cancel()
+        assert loop.pending_events == len(live)
+        assert len(loop._heap) == len(live)
+        loop.run()
+        assert loop.events_processed == len(ran) + len(live)
+
 
 class TestHeapCompaction:
     def test_cancelled_entries_compacted(self, loop):

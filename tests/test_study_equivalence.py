@@ -107,3 +107,39 @@ def test_block_size_invariance(index):
     a = [block.votes for block in engine.blocks(12, 4)]
     b = [block.votes for block in engine.blocks(12, 4)]
     _assert_identical(tuple(a), tuple(b), "votes")
+
+
+#: Block fields the aggregates of ``build_partial`` read, per engine.
+AGGREGATE_FIELDS = {
+    AbEngine: ("start", "flags", "indices", "votes", "replays"),
+    RatingEngine: ("start", "flags", "indices", "speed", "quality"),
+}
+
+
+@pytest.mark.parametrize("engine_cls", [AbEngine, RatingEngine])
+@pytest.mark.parametrize("group", GROUPS)
+def test_aggregate_blocks_match_full_draws(index, engine_cls, group):
+    """Stopping a block's draws before the timing tail leaves every
+    field the aggregates read unchanged, in every shard."""
+    engine = engine_cls(group, StudyPlan(sites=SMALL_SITES),
+                        lookup=index.lookup, block_size=BLOCK_SIZE)
+    seed = SEEDS[1]
+    covered = []
+    for shard in ((0, 2), (1, 2)):
+        votes_only = list(engine.blocks(PARTICIPANTS, seed, shard=shard,
+                                        through="votes"))
+        full = list(engine.blocks(PARTICIPANTS, seed, shard=shard))
+        assert len(votes_only) == len(full) >= 1
+        for a, b in zip(votes_only, full):
+            for name in AGGREGATE_FIELDS[engine_cls]:
+                _assert_identical(getattr(a, name), getattr(b, name), name)
+            assert a.durations is None and b.durations is not None
+            covered.append(a.start)
+    assert sorted(covered) == [0, BLOCK_SIZE, 2 * BLOCK_SIZE]
+
+
+def test_unknown_draw_depth_rejected(index):
+    engine = AbEngine("lab", StudyPlan(sites=SMALL_SITES),
+                      lookup=index.lookup)
+    with pytest.raises(ValueError, match="through"):
+        next(engine.blocks(4, 0, through="durations"))

@@ -4,6 +4,7 @@ import copy
 import io
 import json
 import statistics
+import sys
 import tempfile
 from collections import Counter
 from dataclasses import dataclass
@@ -13,7 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
+import repro.util.rng
+from repro.analysis.streaming import grid_report
 from repro.cli import _parse_shard, serve_study_queries
 from repro.study.design import GROUP_ORDER, StudyPlan, scaled_participants
 from repro.study.engine import AbEngine, RatingEngine
@@ -123,6 +127,66 @@ class TestConditionIndex:
             "w.example", "SAT+LAN@split@adversarial", "TCP").plt == 9.0
 
 
+#: ``spawn_rng`` calls one ``build_partial`` makes over the small fixture:
+#: one study entropy per (study, group), 6, plus two appeal offsets per
+#: distinct (website, network) of each group's rating pools, 2 x 20.
+#: Recomputing both offsets for every rating pool entry made it 306.
+SPAWN_RNG_PER_PARTIAL = 46
+
+
+class _CallCounter:
+    """Counts calls to a function, wherever a module bound it by name."""
+
+    def __init__(self, monkeypatch, owner, name: str):
+        self.calls = 0
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        for module in list(sys.modules.values()):
+            if getattr(module, "__dict__", {}).get(name) is original:
+                monkeypatch.setattr(module, name, counting)
+
+
+class TestReadPathWork:
+    """A machine-free work gate on the study read path: grid report ->
+    partials -> report -> serve index. Wall time varies by machine;
+    these call counts do not."""
+
+    @pytest.fixture
+    def counters(self, monkeypatch):
+        return {
+            "t.ppf": _CallCounter(monkeypatch, scipy_stats.t, "ppf"),
+            "pearsonr": _CallCounter(monkeypatch, scipy_stats, "pearsonr"),
+            "spawn_rng": _CallCounter(monkeypatch, repro.util.rng,
+                                      "spawn_rng"),
+        }
+
+    def test_read_path_makes_no_scipy_dispatch(self, small_testbed, index,
+                                               plan, counters):
+        pairs = [
+            (ConditionKey(website=website, network=network, stack=stack,
+                          seed=0, label="", fingerprint=""),
+             small_testbed.recording(website, network, stack))
+            for website, network, stack in plan.required_recordings()]
+        grid_report(pairs).to_json()
+        shards = [build_partial(index, plan, seed=SEED,
+                                participants_scale=SCALE, shard=(i, 2))
+                  for i in range(2)]
+        merged = merge_partials(shards)
+        assert "Figure 6" in build_report(merged, index).render()
+        StudyIndex(index, merged)
+        assert counters["t.ppf"].calls == 0
+        assert counters["pearsonr"].calls == 0
+
+    def test_spawn_rng_calls_per_partial(self, index, plan, counters):
+        build_partial(index, plan, seed=SEED, participants_scale=SCALE)
+        assert counters["spawn_rng"].calls == SPAWN_RNG_PER_PARTIAL
+
+
 @dataclass
 class LoggedSession:
     row: int
@@ -157,7 +221,7 @@ class TestPartialAgainstClassicCampaign:
                                       (RatingEngine, "rating")):
                 engine = engine_cls(group, plan, lookup=index.lookup)
                 count = getattr(GROUPS[group], f"participants_{study}")
-                for block in engine.blocks(count, SEED, with_events=True):
+                for block in engine.blocks(count, SEED, through="events"):
                     alive, funnel = funnel_from_flags(block.flags)
                     survivors, reference = apply_filters(
                         _event_logs(block))
